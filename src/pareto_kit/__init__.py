@@ -3,8 +3,7 @@
 Everything is computed over exact rationals: dominance classification of
 finite sets, convex-hull frontier membership, external-stability
 certificates, subproblem reducibility, and recession-cone analysis of
-polyhedral image sets, all backed by a deterministic exact LP kernel with
-an optional compiled fast path.
+polyhedral image sets, all backed by a deterministic exact LP kernel.
 """
 
 from .cones import (

@@ -1,32 +1,29 @@
 """Exact classification of finite point sets.
 
 Nondominated, weakly nondominated, and properly nondominated subsets are
-computed by pairwise enumeration over the distinct values (duplicates of a
-surviving value are all reported; exact duplicates never dominate each
-other).  The trade-off bound attached to each nondominated point is the
-least constant that caps every improvement/deterioration ratio against it.
-
-The pairwise scan is the second hot loop of the package; when the compiled
-kernel importable as ``pareto_kit._kernels`` is present and all values fit
-in 64 bits it runs there, otherwise in the pure loops below, on the
-values scaled to integers by their common denominator.  Both paths
-compute the same flags.
+computed by a sort-filter scan over the distinct values scaled to integers
+by their common denominator (duplicates of a surviving value are all
+reported; exact duplicates never dominate each other).  The trade-off
+bound attached to each nondominated point is the least constant that caps
+every improvement/deterioration ratio against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, lt
 
 from .cones import PolyhedralCone, cone_contains, strictly_positive_direction
-from .errors import DimensionMismatch, EmptySet, NotMember, NotNondominated
+from .errors import (
+    DimensionMismatch,
+    EmptySet,
+    InternalInconsistency,
+    NotMember,
+    NotNondominated,
+)
 from .numerics import dot
 from .numerics.rational import as_matrix, as_point, common_denominator
-
-try:
-    from pareto_kit import _kernels as _compiled
-except ImportError:
-    _compiled = None
 
 Point = tuple[Fraction, ...]
 
@@ -92,36 +89,35 @@ def _scaled(values: list[Point]) -> list[tuple[int, ...]]:
     return [tuple(nums[k : k + p]) for k in range(0, len(nums), p)]
 
 
-def _dominated_flags_pure(values: list[Point], strict: bool) -> list[bool]:
-    n = len(values)
-    flags = [False] * n
-    for i in range(n):
-        yi = values[i]
-        for j in range(n):
-            if j == i:
-                continue
-            yj = values[j]
-            if strict:
-                if all(a < b for a, b in zip(yj, yi)):
-                    flags[i] = True
-                    break
-            else:
-                # values are distinct, so <= everywhere already implies <=, !=
-                if all(a <= b for a, b in zip(yj, yi)):
-                    flags[i] = True
-                    break
-    return flags
+def _dominators(scaled: list[tuple[int, ...]], strict: bool) -> list[int | None]:
+    """For each distinct value, the index of a value dominating it, or None.
+
+    Sort-filter scan (Chomicki et al. 2003, "Skyline with presorting"):
+    values are visited in increasing (coordinate sum, value) order and each
+    is tested only against the undominated values already kept.  Between
+    distinct values, dominating (strictly or not) forces a strictly smaller
+    sum, and a dominated value always has an undominated dominator, so the
+    None entries are exactly the undominated values.  A dominated value
+    gets the first kept value below it, which is its least dominator in
+    that order: the least one is itself undominated.
+    """
+    below = lt if strict else le
+    order = sorted(range(len(scaled)), key=lambda k: (sum(scaled[k]), scaled[k]))
+    out: list[int | None] = [None] * len(scaled)
+    kept: list[int] = []
+    for k in order:
+        y = scaled[k]
+        for j in kept:
+            if all(map(below, scaled[j], y)):
+                out[k] = j
+                break
+        else:
+            kept.append(k)
+    return out
 
 
 def _dominated_flags(values: list[Point], strict: bool) -> list[bool]:
-    if _compiled is not None and len(values) > 1:
-        try:
-            nums = [[c.numerator for c in row] for row in values]
-            dens = [[c.denominator for c in row] for row in values]
-            return _compiled.dominated_flags(nums, dens, strict)
-        except OverflowError:
-            pass
-    return _dominated_flags_pure(_scaled(values), strict)
+    return [j is not None for j in _dominators(_scaled(values), strict)]
 
 
 def _surviving_indices(points: tuple[Point, ...], strict: bool) -> list[int]:
@@ -161,7 +157,8 @@ def _tradeoff_bound(values, y0) -> Fraction:
         if gain <= 0:
             continue
         loss = max(b - a for a, b in zip(y0, y))
-        assert loss > 0, "dominated reference point"
+        if loss <= 0:
+            raise InternalInconsistency("dominated reference point")
         if gain * den > num * loss:
             num, den = gain, loss
     return Fraction(num, den)

@@ -1,9 +1,7 @@
 """Pure-Python simplex tableau kernel over exact integers.
 
-This is the reference lane.  The optional compiled extension
-(``pareto_kit._kernels``) implements the same four operations with the same
-pivot decisions; the linear-programming driver treats the two lanes as
-interchangeable.  Conventions shared by both lanes:
+``linprog`` runs every pivot loop of its simplex on this tableau.
+Conventions:
 
 * the tableau is a dense (rows x cols) matrix of rationals whose last
   column is the right-hand side,
@@ -14,7 +12,7 @@ interchangeable.  Conventions shared by both lanes:
 * leaving row: smallest ratio rhs/pivot over positive pivot entries, ties
   broken by the smallest basic variable index (Bland).
 
-Here each row is stored as Python integers over one positive row
+Each row is stored as Python integers over one positive row
 denominator, kept in lowest terms (the gcd of the numerators and the
 denominator is 1), so the stored row is the unique such form of its
 rational entries.  Signs, ratios and comparisons are decided on the

@@ -4,31 +4,19 @@ Every geometric decision in the package (dominance over a cone, hull
 membership, boundedness of a lower section) reduces to a small linear
 program solved here with a two-phase simplex over exact rationals and
 Bland's pivot rule.  Outcomes are therefore exact and reproducible:
-identical inputs give identical statuses, values, and points.
-
-Two kernels can execute the pivot loop: the pure-Python reference lane and
-an optional compiled lane built from ``_kernels.pyx``.  The compiled lane
-stores entries as 64-bit numerator/denominator pairs and raises
-OverflowError when a reduced value leaves that range, in which case the
-solve is rerun on the pure lane.  Both lanes take identical pivot
-decisions, so the outcome never depends on which lane ran.
+identical inputs give identical statuses, values, and points.  The pivot
+loop runs on the integer tableau of ``_simplex_py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ..errors import DimensionMismatch
+from ..errors import DimensionMismatch, InternalInconsistency
 from . import _simplex_py
 from .rational import as_fraction, common_denominator
-
-try:
-    from pareto_kit import _kernels as _compiled
-except ImportError:  # pure-Python install
-    _compiled = None
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -243,7 +231,7 @@ def _standardize_rows(n, constraints, lower, upper) -> _Template:
 
 def _with_objective(template: _Template, objective) -> _Standardized:
     """Attach a cost row to a template; the rows themselves are shared
-    (kernels copy them on construction and never mutate the input)."""
+    (the tableau copies them on construction and never mutates the input)."""
     std_obj = [_ZERO] * template.n_std
     offset = _ZERO
     for j, cj in enumerate(objective):
@@ -274,12 +262,12 @@ def _standardize(lp: LinearProgram) -> _Standardized:
     return _with_objective(template, lp.objective)
 
 
-def _run(lane, std: _Standardized):
+def _run(std: _Standardized):
     """Two-phase Bland simplex; returns (status, final tableau, basis).
 
     The tableau and basis are returned only for an OPTIMAL status.
     """
-    tableau = lane.Tableau(std.tableau)
+    tableau = _simplex_py.Tableau(std.tableau)
     m = std.nrows
     rhs_col = len(std.tableau[0]) - 1
     basis = list(std.basis)
@@ -292,7 +280,7 @@ def _run(lane, std: _Standardized):
                 break
             row = tableau.leaving(col, m, basis)
             if row < 0:  # phase-1 objective is bounded below by zero
-                raise AssertionError("phase-1 column with no positive entry")
+                raise InternalInconsistency("phase-1 column with no positive entry")
             tableau.pivot(row, col, m + 2)
             basis[row] = col
         if tableau.get(phase1_row, rhs_col) < 0:
@@ -319,31 +307,9 @@ def _run(lane, std: _Standardized):
     return OPTIMAL, tableau, basis
 
 
-def _env_backend() -> str:
-    return os.environ.get("PARETO_KIT_BACKEND", "auto")
-
-
-_DEFAULT_BACKEND = _env_backend()
-
-
 def active_backend() -> str:
-    """Which kernel lane lp_solve uses by default: 'compiled' or 'pure'."""
-    if _DEFAULT_BACKEND == "pure" or _compiled is None:
-        return "pure"
-    return "compiled"
-
-
-def _lane(backend: str | None):
-    choice = backend if backend is not None else _DEFAULT_BACKEND
-    if choice in (None, "auto"):
-        choice = "compiled" if _compiled is not None else "pure"
-    if choice == "pure":
-        return _simplex_py
-    if choice == "compiled":
-        if _compiled is None:
-            raise RuntimeError("compiled kernels are not available in this install")
-        return _compiled
-    raise ValueError(f"unknown backend {choice!r}")
+    """The name of the tableau kernel: always 'pure' (pure Python)."""
+    return "pure"
 
 
 def _integer_rows(constraints) -> list[tuple[list[int], str, int]]:
@@ -368,9 +334,10 @@ def _check_outcome(lp: LinearProgram, rows, outcome: LpOutcome) -> None:
     xs, den = common_denominator(point)
     cs, cost_den = common_denominator(lp.objective)
     value = outcome.value
-    assert sum(map(mul, cs, xs)) * value.denominator == (
+    if sum(map(mul, cs, xs)) * value.denominator != (
         value.numerator * cost_den * den
-    ), "objective value mismatch"
+    ):
+        raise InternalInconsistency("objective value mismatch")
     for coeffs, relation, rhs in rows:
         lhs = sum(map(mul, coeffs, xs))
         rhs *= den
@@ -380,22 +347,16 @@ def _check_outcome(lp: LinearProgram, rows, outcome: LpOutcome) -> None:
             ok = lhs >= rhs
         else:
             ok = lhs == rhs
-        assert ok, "solver returned an infeasible point"
+        if not ok:
+            raise InternalInconsistency("solver returned an infeasible point")
     n = len(lp.objective)
     lower = lp.lower if lp.lower is not None else (None,) * n
     upper = lp.upper if lp.upper is not None else (None,) * n
     for x, lo, hi in zip(point, lower, upper):
-        assert lo is None or x >= lo, "lower bound violated"
-        assert hi is None or x <= hi, "upper bound violated"
-
-
-def _solve_tableau(std: _Standardized, lane):
-    if lane is _simplex_py:
-        return _run(_simplex_py, std)
-    try:
-        return _run(lane, std)
-    except OverflowError:
-        return _run(_simplex_py, std)
+        if lo is not None and x < lo:
+            raise InternalInconsistency("lower bound violated")
+        if hi is not None and x > hi:
+            raise InternalInconsistency("upper bound violated")
 
 
 def _basic_solution(std: _Standardized, tableau, basis):
@@ -422,8 +383,8 @@ def _optimal_outcome(
     return outcome
 
 
-def _solve_standardized(lp: LinearProgram, std: _Standardized, lane) -> LpOutcome:
-    status, tableau, basis = _solve_tableau(std, lane)
+def _solve_standardized(lp: LinearProgram, std: _Standardized) -> LpOutcome:
+    status, tableau, basis = _run(std)
     if status != OPTIMAL:
         return LpOutcome(status)
     x_std, value_std = _basic_solution(std, tableau, basis)
@@ -436,7 +397,7 @@ class _OptimalBasis:
     """The final basis of an optimal solve, kept to price later objectives.
 
     Holds the basic solution and, for each basic structural variable, its
-    tableau row over the nonbasic real columns, read through the lane's
+    tableau row over the nonbasic real columns, read through the tableau's
     ``get`` and scaled to integers over one common denominator.
     """
 
@@ -469,18 +430,16 @@ class _OptimalBasis:
         return True
 
 
-def lp_solve(lp: LinearProgram, backend: str | None = None) -> LpOutcome:
+def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; deterministic including the returned point.
 
     Optimal outcomes are re-substituted into every constraint before being
     returned, so a reported point satisfies the program exactly.
     """
-    return _solve_standardized(lp, _standardize(lp), _lane(backend))
+    return _solve_standardized(lp, _standardize(lp))
 
 
-def lp_solve_batch(
-    objectives, rows, lower=None, upper=None, backend: str | None = None
-) -> list[LpOutcome]:
+def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
     """Solve one program per objective over a shared constraint system.
 
     Produces exactly the same outcomes as calling lp_solve per objective.
@@ -494,7 +453,6 @@ def lp_solve_batch(
     Every optimal outcome, reused or not, is re-substituted into the
     program before it is returned.
     """
-    lane = _lane(backend)
     costs = [tuple(as_fraction(c) for c in objective) for objective in objectives]
     if not costs:
         return []
@@ -513,7 +471,7 @@ def lp_solve_batch(
             x_std = kept.x_std
             value_std = sum((c * x for c, x in zip(cost_row, x_std)), _ZERO)
         else:
-            status, tableau, basis = _solve_tableau(std, lane)
+            status, tableau, basis = _run(std)
             if status != OPTIMAL:
                 outcomes.append(LpOutcome(status))
                 continue

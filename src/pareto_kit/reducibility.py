@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._parallel import pmap
 from .dominance import _dominated_flags, _scaled, _tradeoff_bound, _unique_groups
 from .errors import (
     DimensionMismatch,
@@ -237,7 +236,7 @@ def hull_reducibility_check(
             )
         return HullReducibilityRecord(point, lhs, rhs, witness)
 
-    return pmap(check_one, queries)
+    return [check_one(query) for query in queries]
 
 
 def instance_to_json(inst: MopInstance) -> dict:

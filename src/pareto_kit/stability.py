@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._parallel import pmap
 from .cones import PolyhedralCone, cone_contains, strictly_positive_direction
 from .dominance import (
     _checked,
+    _dominators,
+    _scaled,
     _unique_groups,
     cone_nondominated_set,
     nondominated_set,
@@ -103,10 +104,17 @@ def external_stability_certificate(
         first_index.setdefault(point, i)
 
     if ordering is None:
-        solve = lambda point: find_dominator(pts, point)
+        # the least dominator by (sum(y), y) is the one find_dominator picks
+        values, _ = _unique_groups(pts)
+        found = _dominators(_scaled(values), strict=False)
+        dominator_of = {
+            y: y if j is None else values[j] for y, j in zip(values, found)
+        }
+        dominators = [dominator_of[point] for point in pts]
     else:
-        solve = lambda point: find_dominator_cone(pts, ordering, point, direction)
-    dominators = pmap(solve, pts)
+        dominators = [
+            find_dominator_cone(pts, ordering, point, direction) for point in pts
+        ]
 
     assignments: dict[int, int] = {}
     for i, (point, dominator) in enumerate(zip(pts, dominators)):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_kit.errors import DimensionMismatch, MalformedNumber, ZeroDenominator
+from pareto_kit.errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    MalformedNumber,
+    ZeroDenominator,
+)
 from pareto_kit.numerics import (
     EQ,
     GE,
@@ -14,6 +19,7 @@ from pareto_kit.numerics import (
     LE,
     OPTIMAL,
     UNBOUNDED,
+    LpOutcome,
     linprog,
     lp_solve,
     rational_format,
@@ -153,13 +159,13 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
     # share a vertex and reuse the kept basis; the weight (1/2, 1/2) ties
     # along the whole edge and must be solved cold.
     cold_solves = []
-    solve_tableau = linprog_module._solve_tableau
+    run = linprog_module._run
 
-    def counting(std, lane):
+    def counting(std):
         cold_solves.append(std)
-        return solve_tableau(std, lane)
+        return run(std)
 
-    monkeypatch.setattr(linprog_module, "_solve_tableau", counting)
+    monkeypatch.setattr(linprog_module, "_run", counting)
     rows = [([1, 1], LE, 4)]
     objectives = [[-w for w in lam] for lam in _simplex_grid(2, 8)]
     batch = lp_solve_batch(objectives, rows, lower=[0, 0])
@@ -180,3 +186,26 @@ def test_optimal_point_satisfies_constraints_exactly():
             lhs = sum(c * x for c, x in zip(coeffs, outcome.point))
             assert lhs <= rhs
         assert sum(c * x for c, x in zip(objective, outcome.point)) == outcome.value
+
+
+def test_leaving_row_ties_go_to_smallest_basic_variable():
+    from pareto_kit.numerics._simplex_py import Tableau
+
+    # both rows have ratio 2 in column 0; Bland's rule breaks the tie by
+    # the smaller basic variable, which guarantees termination
+    tableau = Tableau([[1, 0, 2], [2, 0, 4], [0, 0, 0]])
+    assert tableau.leaving(0, 2, [5, 2]) == 1
+    assert tableau.leaving(0, 2, [2, 5]) == 0
+
+
+def test_check_outcome_rejects_planted_wrong_outcome():
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    lp = linprog([1, 1], [([1, 1], GE, 2)], lower=[0, 0])
+    rows = linprog_module._integer_rows(lp.constraints)
+    good = lp_solve(lp)
+    linprog_module._check_outcome(lp, rows, good)
+    wrong_value = LpOutcome(OPTIMAL, good.value + 1, good.point)
+    infeasible_point = LpOutcome(OPTIMAL, Fraction(1), (Fraction(1), Fraction(0)))
+    for outcome in (wrong_value, infeasible_point):
+        with pytest.raises(InternalInconsistency):
+            linprog_module._check_outcome(lp, rows, outcome)
