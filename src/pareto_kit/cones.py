@@ -12,9 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionMismatch, EmptySet, ImproperCone, NotPointed
+from .errors import (
+    DimensionMismatch,
+    EmptySet,
+    ImproperCone,
+    InternalInconsistency,
+    NotPointed,
+)
 from .numerics import EQ, GE, OPTIMAL, dot, linprog, lp_solve
 from .numerics.rational import as_matrix, as_point
+
+# Entries kept by each lru_cache below; a long-running process reuses at
+# most this many cones' verdicts and does not grow past them.
+CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ def cone_contains(c: PolyhedralCone, y) -> bool:
     return lp_solve(lp).status == OPTIMAL
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def is_pointed(c: PolyhedralCone) -> bool:
     """True when the cone contains no line.
 
@@ -98,7 +108,7 @@ def is_pointed(c: PolyhedralCone) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def is_proper(c: PolyhedralCone) -> bool:
     """True when the cone is neither {0} nor all of R^p.
 
@@ -121,7 +131,7 @@ def is_proper(c: PolyhedralCone) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def strictly_positive_direction(c: PolyhedralCone) -> tuple[Fraction, ...]:
     """A direction d with d . g > 0 for every generator g.
 
@@ -141,7 +151,8 @@ def strictly_positive_direction(c: PolyhedralCone) -> tuple[Fraction, ...]:
         upper=[1] * p + [1],
     )
     outcome = lp_solve(lp)
-    assert outcome.status == OPTIMAL  # the feasible box is compact
+    if outcome.status != OPTIMAL:  # the feasible box is compact
+        raise InternalInconsistency("direction LP over a box is not optimal")
     delta = outcome.point[-1]
     if delta <= 0:
         raise NotPointed(
@@ -149,7 +160,8 @@ def strictly_positive_direction(c: PolyhedralCone) -> tuple[Fraction, ...]:
             "positive direction exists"
         )
     direction = outcome.point[:p]
-    assert all(dot(direction, g) > 0 for g in c.generators)
+    if not all(dot(direction, g) > 0 for g in c.generators):
+        raise InternalInconsistency("direction is not strictly positive on the cone")
     return direction
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, EmptySet, NotInHull
+from .errors import DimensionMismatch, EmptySet, InternalInconsistency, NotInHull
 from .numerics import EQ, GE, LE, OPTIMAL, linprog, lp_solve
 from .numerics.rational import as_matrix, as_point
 
@@ -76,7 +76,8 @@ def _weakly_nondominated(w: HullSet, point: Point) -> bool:
         rows.append(([g[j] for g in w.generators] + [1], LE, point[j]))
     lp = linprog([0] * m + [-1], rows, lower=[0] * m + [None])
     outcome = lp_solve(lp)
-    assert outcome.status == OPTIMAL  # hull is compact, delta is capped
+    if outcome.status != OPTIMAL:  # hull is compact, delta is capped
+        raise InternalInconsistency("weak-nondominance LP is not optimal")
     delta = outcome.point[-1]
     return delta <= 0
 
@@ -92,7 +93,8 @@ def _nondominated(w: HullSet, point: Point) -> bool:
         rows.append(([g[j] for g in w.generators], LE, point[j]))
     column_sums = [sum(g, Fraction(0)) for g in w.generators]
     outcome = lp_solve(linprog(column_sums, rows, lower=[0] * m))
-    assert outcome.status == OPTIMAL  # y0 itself is feasible
+    if outcome.status != OPTIMAL:  # y0 itself is feasible
+        raise InternalInconsistency("nondominance LP is not optimal")
     return outcome.value == sum(point)
 
 

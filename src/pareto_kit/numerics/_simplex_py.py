@@ -15,8 +15,11 @@ Conventions:
 Each row is stored as Python integers over one positive row
 denominator, kept in lowest terms (the gcd of the numerators and the
 denominator is 1), so the stored row is the unique such form of its
-rational entries.  Signs, ratios and comparisons are decided on the
-integers; ``get`` hands an entry back as a ``Fraction``.
+rational entries.  The tableau is built from rows already in that form
+(``linprog`` standardizes straight into it) and replaces a row list
+whenever it changes a row, never mutating one in place, so callers may
+share row lists between tableaus.  Signs, ratios and comparisons are
+decided on the integers; ``get`` hands an entry back as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,19 +27,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .rational import common_denominator
-
 
 class Tableau:
     __slots__ = ("nums", "dens", "ncols")
 
-    def __init__(self, rows):
-        self.nums = []
-        self.dens = []
-        for row in rows:
-            nums, den = common_denominator(row)
-            self.nums.append(nums)
-            self.dens.append(den)
+    def __init__(self, nums, dens):
+        """Row ``i`` is ``nums[i]`` over ``dens[i]`` > 0, in lowest terms."""
+        self.nums = list(nums)
+        self.dens = list(dens)
         self.ncols = len(self.nums[0])
 
     def entering(self, cost_row: int, limit: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from ..errors import DimensionMismatch, InternalInconsistency
@@ -90,7 +91,15 @@ _ONE = Fraction(1)
 
 @dataclass
 class _Standardized:
-    tableau: list[list[Fraction]]
+    """A standardized program in the tableau's form: each row is Python
+    ints over one positive row denominator, in lowest terms.
+
+    ``rows`` holds the constraint rows, then the phase-2 cost row, then
+    the phase-1 cost row; ``dens`` holds their denominators.
+    """
+
+    rows: list[list[int]]
+    dens: list[int]
     nrows: int
     n_real: int
     n_std: int
@@ -106,11 +115,14 @@ class _Template:
 
     The constraint rows, initial basis, and phase-1 cost row depend only
     on the rows and bounds, so a batch of programs differing in the
-    objective can share one template.
+    objective can share one template.  Rows are in the tableau's integer
+    form (see ``_Standardized``).
     """
 
-    rows: list[list[Fraction]]
-    cost1: list[Fraction]
+    rows: list[list[int]]
+    dens: list[int]
+    cost1: list[int]
+    cost1_den: int
     nrows: int
     n_real: int
     n_std: int
@@ -120,13 +132,22 @@ class _Template:
     var_map: list[tuple]
 
 
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """``nums`` over ``den`` > 0 in lowest terms."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return [x // g for x in nums], den // g
+    return nums, den
+
+
 def _standardize_rows(n, constraints, lower, upper) -> _Template:
     """Rewrite the constraint system as Ax = b, x >= 0, b >= 0.
 
     Lower-bounded variables are shifted; unbounded ones are split into a
     positive and a negative part.  Upper bounds become extra rows.  Rows
     whose own slack survives with coefficient +1 start basic; every other
-    row receives an artificial variable for phase 1.
+    row receives an artificial variable for phase 1.  Each row is built
+    directly as integers over its own denominator.
     """
     lower = lower if lower is not None else (None,) * n
     upper = upper if upper is not None else (None,) * n
@@ -141,84 +162,93 @@ def _standardize_rows(n, constraints, lower, upper) -> _Template:
             var_map.append(("split", n_std, n_std + 1))
             n_std += 2
 
-    def to_std(coeffs):
-        out = [_ZERO] * n_std
-        shift = _ZERO
-        for j, a in enumerate(coeffs):
+    def to_std(coeffs, rhs):
+        """Standardized coefficients and right-hand side rhs - a . lower,
+        as integer numerators over one positive denominator."""
+        nums, den = common_denominator((*coeffs, rhs))
+        rhs_num = nums.pop()
+        out = [0] * n_std
+        shifts = []
+        for a, kind in zip(nums, var_map):
             if a == 0:
                 continue
-            kind = var_map[j]
-            if kind[0] == "shift":
-                out[kind[1]] = a
-                shift += a * kind[2]
-            else:
-                out[kind[1]] = a
+            out[kind[1]] = a
+            if kind[0] == "split":
                 out[kind[2]] = -a
-        return out, shift
+            elif kind[2]:
+                shifts.append((a, kind[2]))
+        if not shifts:
+            return out, rhs_num, den
+        scale = lcm(*(bound.denominator for _, bound in shifts))
+        rhs_num = rhs_num * scale - sum(
+            a * bound.numerator * (scale // bound.denominator) for a, bound in shifts
+        )
+        nums, den = _lowest([x * scale for x in out] + [rhs_num], den * scale)
+        return nums[:-1], nums[-1], den
 
-    raw_rows: list[tuple[list[Fraction], str, Fraction]] = []
+    raw_rows: list[tuple[str, list[int], int, int]] = []
     for con in constraints:
-        coeffs, shift = to_std(con.coeffs)
-        raw_rows.append((coeffs, con.relation, con.rhs - shift))
+        raw_rows.append((con.relation, *to_std(con.coeffs, con.rhs)))
     for j in range(n):
         if upper[j] is None:
             continue
         unit = [_ZERO] * n
         unit[j] = _ONE
-        coeffs, shift = to_std(unit)
-        raw_rows.append((coeffs, LE, upper[j] - shift))
+        raw_rows.append((LE, *to_std(unit, upper[j])))
 
     nrows = len(raw_rows)
-    slack_of: list[int | None] = [None] * nrows
-    n_slack = 0
-    for r, (_, rel, _) in enumerate(raw_rows):
-        if rel != EQ:
-            slack_of[r] = n_slack
-            n_slack += 1
+    n_slack = sum(1 for rel, *_ in raw_rows if rel != EQ)
     n_real = n_std + n_slack
 
-    eq_rows: list[list[Fraction]] = []
-    for r, (coeffs, rel, rhs) in enumerate(raw_rows):
-        row = coeffs + [_ZERO] * n_slack
-        if slack_of[r] is not None:
-            row[n_std + slack_of[r]] = _ONE if rel == LE else -_ONE
-        row.append(rhs)
-        if rhs < 0:
-            row = [-x for x in row]
-        eq_rows.append(row)
-
+    # A row is negated when its right-hand side is negative; its own
+    # slack then keeps coefficient +1 exactly when the row is a <= row
+    # with rhs >= 0 or a >= row with rhs < 0, and starts basic.
+    slack_of: list[int | None] = []
     basis: list[int] = []
-    art_col_of: list[int | None] = [None] * nrows
-    n_art = 0
-    for r in range(nrows):
-        own = slack_of[r]
-        if own is not None and eq_rows[r][n_std + own] == 1:
-            basis.append(n_std + own)
+    next_slack, n_art = n_std, 0
+    for rel, _, rhs, _ in raw_rows:
+        own = None
+        if rel != EQ:
+            own, next_slack = next_slack, next_slack + 1
+        slack_of.append(own)
+        if own is not None and (rel == LE) == (rhs >= 0):
+            basis.append(own)
         else:
-            art_col_of[r] = n_art
             basis.append(n_real + n_art)
             n_art += 1
 
-    tableau: list[list[Fraction]] = []
-    for r in range(nrows):
-        body, rhs = eq_rows[r][:-1], eq_rows[r][-1]
-        full = body + [_ZERO] * n_art + [rhs]
-        if art_col_of[r] is not None:
-            full[n_real + art_col_of[r]] = _ONE
-        tableau.append(full)
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    art_rows: list[int] = []
+    for r, (rel, coeffs, rhs, den) in enumerate(raw_rows):
+        row = coeffs + [0] * (n_slack + n_art) + [rhs]
+        if slack_of[r] is not None:
+            row[slack_of[r]] = den if rel == LE else -den
+        if rhs < 0:
+            row = [-x for x in row]
+        if basis[r] >= n_real:
+            row[basis[r]] = den
+            art_rows.append(r)
+        rows.append(row)
+        dens.append(den)
 
-    ncols = n_real + n_art + 1
-    cost1 = [_ZERO] * ncols
-    for r in range(nrows):
-        if art_col_of[r] is not None:
-            cost1[n_real + art_col_of[r]] = _ONE
-    for r in range(nrows):
-        if art_col_of[r] is not None:
-            cost1 = [c - x for c, x in zip(cost1, tableau[r])]
+    # Phase-1 cost row: 1 on each artificial column minus the sum of the
+    # artificial rows, over their least common denominator.  The
+    # artificial columns cancel to zero.
+    cost1_den = lcm(*(dens[r] for r in art_rows))
+    cost1 = [0] * (n_real + n_art + 1)
+    for r in art_rows:
+        factor = cost1_den // dens[r]
+        cost1 = [c - factor * x for c, x in zip(cost1, rows[r])]
+    for r in art_rows:
+        cost1[basis[r]] = 0
+    cost1, cost1_den = _lowest(cost1, cost1_den)
 
     return _Template(
-        rows=tableau,
+        rows=rows,
+        dens=dens,
         cost1=cost1,
+        cost1_den=cost1_den,
         nrows=nrows,
         n_real=n_real,
         n_std=n_std,
@@ -231,20 +261,21 @@ def _standardize_rows(n, constraints, lower, upper) -> _Template:
 
 def _with_objective(template: _Template, objective) -> _Standardized:
     """Attach a cost row to a template; the rows themselves are shared
-    (the tableau copies them on construction and never mutates the input)."""
-    std_obj = [_ZERO] * template.n_std
+    (the tableau never mutates a row list in place)."""
+    nums, den = common_denominator(objective)
+    cost2 = [0] * (template.n_real + template.n_art + 1)
     offset = _ZERO
-    for j, cj in enumerate(objective):
-        kind = template.var_map[j]
-        if kind[0] == "shift":
-            std_obj[kind[1]] = cj
+    for c, cj, kind in zip(nums, objective, template.var_map):
+        if c == 0:
+            continue
+        cost2[kind[1]] = c
+        if kind[0] == "split":
+            cost2[kind[2]] = -c
+        elif kind[2]:
             offset += cj * kind[2]
-        else:
-            std_obj[kind[1]] = cj
-            std_obj[kind[2]] = -cj
-    cost2 = std_obj + [_ZERO] * (template.n_slack + template.n_art) + [_ZERO]
     return _Standardized(
-        tableau=template.rows + [cost2, template.cost1],
+        rows=template.rows + [cost2, template.cost1],
+        dens=template.dens + [den, template.cost1_den],
         nrows=template.nrows,
         n_real=template.n_real,
         n_std=template.n_std,
@@ -267,9 +298,9 @@ def _run(std: _Standardized):
 
     The tableau and basis are returned only for an OPTIMAL status.
     """
-    tableau = _simplex_py.Tableau(std.tableau)
+    tableau = _simplex_py.Tableau(std.rows, std.dens)
     m = std.nrows
-    rhs_col = len(std.tableau[0]) - 1
+    rhs_col = tableau.ncols - 1
     basis = list(std.basis)
     phase2_row, phase1_row = m, m + 1
 
@@ -361,7 +392,7 @@ def _check_outcome(lp: LinearProgram, rows, outcome: LpOutcome) -> None:
 
 def _basic_solution(std: _Standardized, tableau, basis):
     """The standardized point and objective value of an optimal tableau."""
-    rhs_col = len(std.tableau[0]) - 1
+    rhs_col = tableau.ncols - 1
     x_std = [_ZERO] * std.n_std
     for r in range(std.nrows):
         if basis[r] < std.n_std:
@@ -396,13 +427,15 @@ def _solve_standardized(lp: LinearProgram, std: _Standardized) -> LpOutcome:
 class _OptimalBasis:
     """The final basis of an optimal solve, kept to price later objectives.
 
-    Holds the basic solution and, for each basic structural variable, its
+    Holds the basic solution, as Fractions and as integers over their
+    common denominator, and, for each basic structural variable, its
     tableau row over the nonbasic real columns, read through the tableau's
     ``get`` and scaled to integers over one common denominator.
     """
 
     def __init__(self, std: _Standardized, tableau, basis, x_std):
         self.x_std = x_std
+        self.x_nums, self.x_den = common_denominator(x_std)
         basic = set(basis)
         self.n_real = std.n_real
         self.nonbasic = [j for j in range(std.n_real) if j not in basic]
@@ -414,20 +447,24 @@ class _OptimalBasis:
         width = len(self.nonbasic)
         self.columns = [entries[k::width] for k in range(width)]
 
-    def unique_optimum(self, cost) -> bool:
-        """Is the basic solution the only optimum of ``cost``?
+    def unique_optimum(self, costs: list[int]) -> bool:
+        """Is the basic solution the only optimum of the cost row?
 
-        True when every nonbasic reduced cost is strictly positive: any
-        other feasible point moves some nonbasic variable off zero and so
-        costs strictly more.  A zero reduced cost (a tie) answers False.
-        The signs are decided on the costs scaled to integers.
+        ``costs`` are the integer numerators of a standardized cost row;
+        its positive denominator does not change a sign.  True when every
+        nonbasic reduced cost is strictly positive: any other feasible
+        point moves some nonbasic variable off zero and so costs strictly
+        more.  A zero reduced cost (a tie) answers False.
         """
-        costs, _ = common_denominator(cost[: self.n_real])
         basic_costs = [costs[b] for b in self.basic]
         for j, column in zip(self.nonbasic, self.columns):
             if costs[j] * self.den <= sum(map(mul, basic_costs, column)):
                 return False
         return True
+
+    def value(self, costs: list[int], den: int) -> Fraction:
+        """The cost of the basic solution under the row ``costs`` / ``den``."""
+        return Fraction(sum(map(mul, costs, self.x_nums)), den * self.x_den)
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
@@ -466,10 +503,10 @@ def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
     for cost in costs:
         lp = LinearProgram(cost, base.constraints, base.lower, base.upper)
         std = _with_objective(template, cost)
-        cost_row = std.tableau[std.nrows]
+        cost_row = std.rows[std.nrows]
         if kept is not None and kept.unique_optimum(cost_row):
             x_std = kept.x_std
-            value_std = sum((c * x for c, x in zip(cost_row, x_std)), _ZERO)
+            value_std = kept.value(cost_row, std.dens[std.nrows])
         else:
             status, tableau, basis = _run(std)
             if status != OPTIMAL:

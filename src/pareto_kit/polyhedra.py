@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     EmptyFrontier,
@@ -35,9 +36,18 @@ from .errors import (
 from .hulls import HullSet
 from .numerics import EQ, LE, OPTIMAL, LpOutcome, dot, linprog, lp_solve
 from .numerics.linprog import lp_solve_batch
-from .numerics.rational import as_matrix, as_point, rational_format
+from .numerics.rational import (
+    as_matrix,
+    as_point,
+    common_denominator,
+    rational_format,
+)
 
 Point = tuple[Fraction, ...]
+
+# Entries kept by each lru_cache below; a long-running process reuses at
+# most this many polyhedra's verdicts and does not grow past them.
+CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ def polyhedron(A, b) -> Polyhedron:
     return Polyhedron(matrix, rhs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def feasible_point(P: Polyhedron) -> Point | None:
     """Some exact member of P, or None when P is empty.  Deterministic."""
     rows = [(list(row), LE, rhs) for row, rhs in zip(P.A, P.b)]
@@ -112,13 +122,14 @@ def recession_cone(P: Polyhedron) -> RecessionCone:
             outcome = lp_solve(
                 linprog(objective, rows, lower=[-1] * p, upper=[1] * p)
             )
-            assert outcome.status == OPTIMAL
+            if outcome.status != OPTIMAL:  # the unit box is compact
+                raise InternalInconsistency("recession-ray LP is not optimal")
             if outcome.value < 0 and outcome.point not in rays:
                 rays.append(outcome.point)
     return RecessionCone(P.A, tuple(rays))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def negative_recession_direction(P: Polyhedron) -> Point | None:
     """A direction d != 0 with A d <= 0 and d <= 0, or None.
 
@@ -306,20 +317,25 @@ def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
     )
 
 
-def _simplex_grid(p: int, k: int) -> list[tuple[Fraction, ...]]:
-    """Weight vectors (n_1/k, ..., n_p/k) with integer n_i >= 1 summing to k."""
-    out: list[tuple[Fraction, ...]] = []
+def _compositions(p: int, k: int) -> list[tuple[int, ...]]:
+    """Integer tuples (n_1, ..., n_p) with n_i >= 1 summing to k."""
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int):
         if slots == 1:
             if remaining >= 1:
-                out.append(tuple(Fraction(v, k) for v in prefix + [remaining]))
+                out.append(tuple(prefix + [remaining]))
             return
         for v in range(1, remaining - (slots - 1) + 1):
             rec(prefix + [v], remaining - v, slots - 1)
 
     rec([], k, p)
     return out
+
+
+def _simplex_grid(p: int, k: int) -> list[tuple[Fraction, ...]]:
+    """Weight vectors (n_1/k, ..., n_p/k) with integer n_i >= 1 summing to k."""
+    return [tuple(Fraction(v, k) for v in counts) for counts in _compositions(p, k)]
 
 
 def _distance_sq(a: Point, b: Point) -> Fraction:
@@ -354,16 +370,21 @@ def frontier_sample_connected(source, grid: int, epsilon=None, anchor=None) -> C
     else:
         raise MalformedInput("source must be a HullSet or a Polyhedron")
 
-    weights = _simplex_grid(p, grid)
-    if not weights:
+    grid_counts = _compositions(p, grid)
+    if not grid_counts:
         raise EmptyFrontier(
             f"grid {grid} admits no strictly positive weights in dimension {p}"
         )
 
     if isinstance(source, HullSet):
+        # Scores on the generators scaled by their common denominator and
+        # on the weights' integer numerators: a positive factor keeps the
+        # argmin and its first-index tie-break.
+        flat, _ = common_denominator(x for g in source.generators for x in g)
+        scaled = [flat[i : i + p] for i in range(0, len(flat), p)]
         optima = []
-        for lam in weights:
-            scores = [dot(lam, g) for g in source.generators]
+        for counts in grid_counts:
+            scores = [sum(map(mul, counts, g)) for g in scaled]
             optima.append(source.generators[scores.index(min(scores))])
     else:
         report = theorem_full_report(source)
@@ -372,8 +393,9 @@ def frontier_sample_connected(source, grid: int, epsilon=None, anchor=None) -> C
         base = as_point(anchor) if anchor is not None else feasible_point(source)
         if anchor is not None and not source.contains(base):
             raise NotMember(f"anchor {base} is not in the polyhedron")
-        outcomes = _section_minima(source, base, weights)
-        assert all(o.status == OPTIMAL for o in outcomes)  # section is compact
+        outcomes = _section_minima(source, base, _simplex_grid(p, grid))
+        if any(o.status != OPTIMAL for o in outcomes):  # the section is compact
+            raise InternalInconsistency("grid LP over a compact section is not optimal")
         optima = [o.point for o in outcomes]
 
     samples: list[Point] = []

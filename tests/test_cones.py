@@ -14,9 +14,14 @@ from pareto_kit import (
     strictly_positive_direction,
 )
 from pareto_kit.cones import cone_from_json, cone_to_json
-from pareto_kit.errors import DimensionMismatch, ImproperCone, NotPointed
+from pareto_kit.errors import (
+    DimensionMismatch,
+    ImproperCone,
+    InternalInconsistency,
+    NotPointed,
+)
 from pareto_kit.generate import gen_cone
-from pareto_kit.numerics import dot
+from pareto_kit.numerics import INFEASIBLE, OPTIMAL, LpOutcome, dot
 
 
 def test_order_relation_equal_points():
@@ -166,3 +171,36 @@ def test_cone_contains_matches_planar_sector_oracle():
             assert cone_contains(c, y) == expected, (c.generators, y)
             checked += 1
     assert checked == 600
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        LpOutcome(INFEASIBLE),
+        # delta > 0 but the direction (0, 0) is not positive on the cone
+        LpOutcome(OPTIMAL, Fraction(-1), (Fraction(0), Fraction(0), Fraction(1))),
+    ],
+)
+def test_direction_checks_raise_internal_inconsistency(monkeypatch, planted):
+    from pareto_kit import cones
+
+    c = cone([(2, 1), (1, 3)])
+    real = cones.lp_solve
+
+    def planted_direction_lp(lp):
+        # membership LPs keep the real solver; the direction LP has the
+        # extra slack variable delta
+        return planted if len(lp.objective) == c.dim + 1 else real(lp)
+
+    monkeypatch.setattr(cones, "lp_solve", planted_direction_lp)
+    strictly_positive_direction.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistency):
+            strictly_positive_direction(c)
+    finally:
+        strictly_positive_direction.cache_clear()
+
+
+def test_caches_are_bounded():
+    for cached in (is_pointed, is_proper, strictly_positive_direction):
+        assert cached.cache_info().maxsize is not None

@@ -11,9 +11,10 @@ from pareto_kit import (
     hull_is_properly_nondominated,
     hull_is_weakly_nondominated,
 )
-from pareto_kit.errors import NotInHull
+from pareto_kit import hulls
+from pareto_kit.errors import InternalInconsistency, NotInHull
 from pareto_kit.generate import gen_hull, gen_hull_queries
-from pareto_kit.numerics import dot
+from pareto_kit.numerics import UNBOUNDED, LpOutcome, dot
 
 HALF = Fraction(1, 2)
 
@@ -128,3 +129,13 @@ def test_grid_sampling_never_beats_weak_points():
                 assert not any(
                     all(a < b for a, b in zip(z, g)) for z in grid
                 )
+
+
+def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
+    # both LPs have an optimum on every member query; a planted
+    # non-optimal status must raise, also under python -O
+    w = hull([(1, 0), (0, 1)])
+    monkeypatch.setattr(hulls, "lp_solve", lambda lp: LpOutcome(UNBOUNDED))
+    for decide in (hulls._weakly_nondominated, hulls._nondominated):
+        with pytest.raises(InternalInconsistency):
+            decide(w, (HALF, HALF))

@@ -1,6 +1,7 @@
 import importlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -193,7 +194,7 @@ def test_leaving_row_ties_go_to_smallest_basic_variable():
 
     # both rows have ratio 2 in column 0; Bland's rule breaks the tie by
     # the smaller basic variable, which guarantees termination
-    tableau = Tableau([[1, 0, 2], [2, 0, 4], [0, 0, 0]])
+    tableau = Tableau([[1, 0, 2], [2, 0, 4], [0, 0, 0]], [1, 1, 1])
     assert tableau.leaving(0, 2, [5, 2]) == 1
     assert tableau.leaving(0, 2, [2, 5]) == 0
 
@@ -209,3 +210,117 @@ def test_check_outcome_rejects_planted_wrong_outcome():
     for outcome in (wrong_value, infeasible_point):
         with pytest.raises(InternalInconsistency):
             linprog_module._check_outcome(lp, rows, outcome)
+
+
+def _random_mixed_lp(rng):
+    """A program with LE/EQ/GE rows, negative right-hand sides, and
+    shifted, upper-bounded and free variables.  A variable without a lower
+    (upper) bound gets the row -x_j <= 4 (x_j <= 4), so the program is
+    bounded.
+
+    Returns (objective, rows, lower, upper) and the same program as <=
+    rows, a list of (coefficients, right-hand side) pairs.
+    """
+    n = rng.randint(1, 3)
+
+    def value():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+    units = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    rows = [
+        ([value() for _ in range(n)], rng.choice((LE, EQ, GE)), value())
+        for _ in range(rng.randint(1, 4))
+    ]
+    lower, upper = [], []
+    for unit in units:
+        lo = Fraction(rng.randint(-8, 4), 2) if rng.random() < 0.5 else None
+        hi = Fraction(rng.randint(-4, 8), 2) if rng.random() < 0.5 else None
+        if lo is None:
+            rows.append(([-a for a in unit], LE, Fraction(4)))
+        if hi is None:
+            rows.append((unit, LE, Fraction(4)))
+        lower.append(lo)
+        upper.append(hi)
+
+    le_rows = []
+    for coeffs, rel, rhs in rows:
+        if rel != GE:
+            le_rows.append((coeffs, rhs))
+        if rel != LE:
+            le_rows.append(([-a for a in coeffs], -rhs))
+    for unit, lo, hi in zip(units, lower, upper):
+        if lo is not None:
+            le_rows.append(([-a for a in unit], -lo))
+        if hi is not None:
+            le_rows.append((unit, hi))
+    objective = [value() for _ in range(n)]
+    return (objective, rows, lower, upper), le_rows
+
+
+def test_mixed_rows_and_bounds_match_vertex_enumeration_oracle():
+    rng = random.Random(23)
+    seen = set()
+    statuses = []
+    for _ in range(150):
+        (objective, rows, lower, upper), le_rows = _random_mixed_lp(rng)
+        outcome = lp_solve(linprog(objective, rows, lower, upper))
+        expected = oracle_lp_minimum(
+            objective, [c for c, _ in le_rows], [r for _, r in le_rows]
+        )
+        if expected is None:
+            assert outcome.status == INFEASIBLE
+        else:
+            assert outcome.status == OPTIMAL
+            assert outcome.value == expected
+        statuses.append(outcome.status)
+        seen.update(rel for _, rel, _ in rows)
+        seen.update("negative rhs" for _, _, rhs in rows if rhs < 0)
+        seen.update("nonzero lower" for lo in lower if lo)
+        seen.update("upper" for hi in upper if hi is not None)
+        seen.update("free" for lo, hi in zip(lower, upper) if lo is None and hi is None)
+    assert seen == {LE, EQ, GE, "negative rhs", "nonzero lower", "upper", "free"}
+    assert statuses.count(OPTIMAL) > 30 and statuses.count(INFEASIBLE) > 10
+
+
+def test_initial_tableau_entries_for_every_row_kind():
+    from pareto_kit.numerics._simplex_py import Tableau
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    # x1 in [1/2, 3] is shifted (x1 = 1/2 + u) and gets an upper-bound
+    # row; x2 is free and split (x2 = v - w).
+    lp = linprog(
+        [1, -2],
+        [
+            ([1, 1], LE, 4),  # rhs 7/2: own slack starts basic
+            ([1, -1], GE, 1),  # rhs 1/2: slack -1, artificial
+            ([2, 1], EQ, 3),  # rhs 2: artificial
+            ([-1, "1/3"], LE, -2),  # rhs -3/2: negated, artificial
+        ],
+        lower=["1/2", None],
+        upper=[3, None],
+    )
+    std = linprog_module._standardize(lp)
+    # columns: u, v, w, four slacks, three artificials, right-hand side
+    h = Fraction(1, 2)
+    t = Fraction(1, 3)
+    expected = [
+        [1, 1, -1, 1, 0, 0, 0, 0, 0, 0, 7 * h],
+        [1, -1, 1, 0, -1, 0, 0, 1, 0, 0, h],
+        [2, 1, -1, 0, 0, 0, 0, 0, 1, 0, 2],
+        [1, -t, t, 0, 0, -1, 0, 0, 0, 1, 3 * h],
+        [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5 * h],
+        # phase-2 cost row
+        [1, -2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+        # phase-1 cost row: minus the sum of the three artificial rows
+        [-4, t, -t, 0, 1, 1, 0, 0, 0, 0, -4],
+    ]
+    tableau = Tableau(std.rows, std.dens)
+    actual = [
+        [tableau.get(r, c) for c in range(tableau.ncols)] for r in range(len(expected))
+    ]
+    assert actual == expected
+    assert len(std.rows) == len(expected)
+    # each row is in the tableau's lowest-terms form
+    assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(std.rows, std.dens))
+    assert std.basis == [3, 7, 8, 9, 6]
+    assert std.offset == h

@@ -16,10 +16,12 @@ from pareto_kit import (
 from pareto_kit.errors import (
     EmptyFrontier,
     EmptyPolyhedron,
+    InternalInconsistency,
     InvalidEpsilon,
     NotMember,
 )
 from pareto_kit.generate import POLY_FAMILIES, gen_poly
+from pareto_kit.numerics import UNBOUNDED, LpOutcome
 from pareto_kit.polyhedra import polyhedron_from_json, polyhedron_to_json
 
 from oracles import oracle_polytope_vertices
@@ -187,3 +189,50 @@ def test_default_radius_joins_all_true_instances():
 def test_polyhedron_json_round_trip():
     data = polyhedron_to_json(DIAGONAL)
     assert polyhedron_from_json(data) == DIAGONAL
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [(1, 0), (0, 1)],
+        [(0, 1), (1, 0)],
+        [("2/3", "1/3"), ("1/3", "2/3"), (1, 1)],
+    ],
+)
+def test_hull_sample_ties_go_to_first_generator(generators):
+    # grid 2 has the single weight (1/2, 1/2), on which the first two
+    # generators tie; the sample is the one listed first
+    w = hull(generators)
+    report = frontier_sample_connected(w, 2)
+    assert report.samples == (w.generators[0],)
+
+
+def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
+    from pareto_kit import polyhedra
+
+    real_solve, real_minima = polyhedra.lp_solve, polyhedra._section_minima
+
+    def planted_solve(lp):
+        # the recession-ray LPs are the ones over the unit box
+        return LpOutcome(UNBOUNDED) if lp.lower is not None else real_solve(lp)
+
+    def planted_minima(P, anchor, weight_list):
+        # the report's single-weight section LPs stay real; the grid fails
+        outcomes = real_minima(P, anchor, weight_list)
+        if len(weight_list) == 1:
+            return outcomes
+        return [LpOutcome(UNBOUNDED)] * len(outcomes)
+
+    monkeypatch.setattr(polyhedra, "lp_solve", planted_solve)
+    with pytest.raises(InternalInconsistency):
+        recession_cone(BOX)
+    monkeypatch.setattr(polyhedra, "_section_minima", planted_minima)
+    with pytest.raises(InternalInconsistency):
+        frontier_sample_connected(DIAGONAL, 8)
+
+
+def test_caches_are_bounded():
+    from pareto_kit.polyhedra import feasible_point
+
+    for cached in (feasible_point, negative_recession_direction):
+        assert cached.cache_info().maxsize is not None
