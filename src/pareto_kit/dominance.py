@@ -1,11 +1,12 @@
 """Exact classification of finite point sets.
 
-Nondominated, weakly nondominated, and properly nondominated subsets are
-computed by a sort-filter scan over the distinct values scaled to integers
-by their common denominator (duplicates of a surviving value are all
-reported; exact duplicates never dominate each other).  The trade-off
-bound attached to each nondominated point is the least constant that caps
-every improvement/deterioration ratio against it.
+Nondominated, weakly nondominated, properly nondominated and
+cone-nondominated subsets, stability certificates and reducibility
+subproblems all come from one sort-filter scan over the distinct values
+(duplicates of a surviving value are all reported; exact duplicates never
+dominate each other).  The trade-off bound attached to each nondominated
+point is the least constant that caps every improvement/deterioration
+ratio against it.
 """
 
 from __future__ import annotations
@@ -89,26 +90,42 @@ def _scaled(values: list[Point]) -> list[tuple[int, ...]]:
     return [tuple(nums[k : k + p]) for k in range(0, len(nums), p)]
 
 
-def _dominators(scaled: list[tuple[int, ...]], strict: bool) -> list[int | None]:
+def _componentwise(scaled: list[tuple[int, ...]], strict: bool):
+    """Scan keys (sum(y), y) and test of the componentwise order."""
+    cmp = lt if strict else le
+    keys = [(sum(y), y) for y in scaled]
+    return keys, lambda j, k: all(map(cmp, scaled[j], scaled[k]))
+
+
+def _cone_order(values: list[Point], ordering: PolyhedralCone, direction: Point):
+    """Scan keys (d . y, y) and test of the cone order, d positive on it."""
+    w = [dot(direction, y) for y in values]
+    return list(zip(w, values)), lambda j, k: w[j] < w[k] and cone_contains(
+        ordering, tuple(a - b for a, b in zip(values[k], values[j]))
+    )
+
+
+def _dominators(keys: list, below) -> list[int | None]:
     """For each distinct value, the index of a value dominating it, or None.
 
     Sort-filter scan (Chomicki et al. 2003, "Skyline with presorting"):
-    values are visited in increasing (coordinate sum, value) order and each
-    is tested only against the undominated values already kept.  Between
-    distinct values, dominating (strictly or not) forces a strictly smaller
-    sum, and a dominated value always has an undominated dominator, so the
-    None entries are exactly the undominated values.  A dominated value
-    gets the first kept value below it, which is its least dominator in
-    that order: the least one is itself undominated.
+    values are visited in increasing key order and each is tested with
+    ``below(j, k)`` ("j dominates k") only against the undominated values
+    already kept.  This is exact for a strict partial order whose
+    dominators have smaller keys.  Componentwise dominance between distinct
+    values forces a smaller sum; cone dominance over a pointed cone forces
+    a smaller d . y, since d is positive on every nonzero cone member.  By
+    transitivity the least dominator in key order is itself undominated and
+    is visited first, so it is kept: None marks exactly the undominated
+    values, and a dominated value gets that least dominator, which is what
+    ``find_dominator`` and ``find_dominator_cone`` return.
     """
-    below = lt if strict else le
-    order = sorted(range(len(scaled)), key=lambda k: (sum(scaled[k]), scaled[k]))
-    out: list[int | None] = [None] * len(scaled)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    out: list[int | None] = [None] * len(keys)
     kept: list[int] = []
     for k in order:
-        y = scaled[k]
         for j in kept:
-            if all(map(below, scaled[j], y)):
+            if below(j, k):
                 out[k] = j
                 break
         else:
@@ -116,18 +133,29 @@ def _dominators(scaled: list[tuple[int, ...]], strict: bool) -> list[int | None]
     return out
 
 
-def _dominated_flags(values: list[Point], strict: bool) -> list[bool]:
-    return [j is not None for j in _dominators(_scaled(values), strict)]
+def _survivors(found: list[int | None], groups: dict[Point, list[int]]) -> list[int]:
+    """The sorted indices of every value the scan left undominated."""
+    out: list[int] = []
+    for group, j in zip(groups.values(), found):
+        if j is None:
+            out.extend(group)
+    return sorted(out)
 
 
 def _surviving_indices(points: tuple[Point, ...], strict: bool) -> list[int]:
     values, groups = _unique_groups(points)
-    flags = _dominated_flags(values, strict)
-    out: list[int] = []
-    for value, dominated in zip(values, flags):
-        if not dominated:
-            out.extend(groups[value])
-    return sorted(out)
+    return _survivors(_dominators(*_componentwise(_scaled(values), strict)), groups)
+
+
+def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
+    """(index, trade-off bound) of every nondominated point, by value group."""
+    found = _dominators(*_componentwise(scaled, strict=False))
+    out: list[tuple[int, Fraction]] = []
+    for group, y0, j in zip(groups.values(), scaled, found):
+        if j is None:
+            bound = _tradeoff_bound(scaled, y0)
+            out.extend((i, bound) for i in group)
+    return out
 
 
 def nondominated_set(points) -> list[int]:
@@ -173,11 +201,10 @@ def geoffrion_bound(points, y0) -> Fraction:
     if ref not in pts:
         raise NotMember("reference point is not in the set")
     values, _ = _unique_groups(pts)
-    flags = _dominated_flags(values, strict=False)
-    k = values.index(ref)
-    if flags[k]:
-        raise NotNondominated("reference point is dominated")
     scaled = _scaled(values)
+    k = values.index(ref)
+    if _dominators(*_componentwise(scaled, strict=False))[k] is not None:
+        raise NotNondominated("reference point is dominated")
     return _tradeoff_bound(scaled, scaled[k])
 
 
@@ -198,19 +225,11 @@ def properly_nondominated_set(points) -> DominanceReport:
     """
     pts = _checked(points)
     values, groups = _unique_groups(pts)
-    flags = _dominated_flags(values, strict=False)
-    weak = _surviving_indices(pts, strict=True)
-    nondominated: list[int] = []
-    bounds: dict[int, Fraction] = {}
     scaled = _scaled(values)
-    for value, y0, dominated in zip(values, scaled, flags):
-        if dominated:
-            continue
-        bound = _tradeoff_bound(scaled, y0)
-        for i in groups[value]:
-            nondominated.append(i)
-            bounds[i] = bound
-    nondominated.sort()
+    frontier = _frontier_bounds(groups, scaled)
+    weak = _survivors(_dominators(*_componentwise(scaled, strict=True)), groups)
+    nondominated = sorted(i for i, _ in frontier)
+    bounds = dict(frontier)
     return DominanceReport(
         nondominated=tuple(nondominated),
         weakly_nondominated=tuple(weak),
@@ -223,9 +242,10 @@ def cone_nondominated_set(points, ordering: PolyhedralCone) -> list[int]:
     """Indices not dominated under the generalized cone order.
 
     A value y is dominated when some distinct value z has y - z in the
-    cone.  Membership tests run one small LP per candidate pair, after a
-    cheap exact prefilter: d . (y - z) must be positive for the strictly
-    positive direction d of the cone.
+    cone.  The sort-filter scan of ``_dominators`` runs one small LP per
+    tested pair, only against undominated values kept so far and only
+    after the exact prefilter d . z < d . y for the strictly positive
+    direction d of the cone.
     """
     pts = _checked(points)
     if ordering.dim != len(pts[0]):
@@ -234,25 +254,4 @@ def cone_nondominated_set(points, ordering: PolyhedralCone) -> list[int]:
         )
     direction = strictly_positive_direction(ordering)
     values, groups = _unique_groups(pts)
-    weights = [dot(direction, v) for v in values]
-    cache: dict[Point, bool] = {}
-
-    def in_cone(diff: Point) -> bool:
-        hit = cache.get(diff)
-        if hit is None:
-            hit = cone_contains(ordering, diff)
-            cache[diff] = hit
-        return hit
-
-    out: list[int] = []
-    for i, yi in enumerate(values):
-        dominated = False
-        for j, yj in enumerate(values):
-            if i == j or weights[j] >= weights[i]:
-                continue
-            if in_cone(tuple(a - b for a, b in zip(yi, yj))):
-                dominated = True
-                break
-        if not dominated:
-            out.extend(groups[yi])
-    return sorted(out)
+    return _survivors(_dominators(*_cone_order(values, ordering, direction)), groups)

@@ -280,10 +280,6 @@ class RedundancyReport:
     witness: Point | None
     sections_checked: int
     sections_bounded: bool | None
-    cone_compact: bool | None
-    cone_semicompact: bool | None
-    externally_stable: bool | None
-    connected: bool | None
     passed: bool
 
 
@@ -296,10 +292,6 @@ def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
             witness=None,
             sections_checked=0,
             sections_bounded=None,
-            cone_compact=None,
-            cone_semicompact=None,
-            externally_stable=None,
-            connected=None,
             passed=True,
         )
     checks = sample_points or [report.witness]
@@ -309,10 +301,6 @@ def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
         witness=report.witness,
         sections_checked=len(checks),
         sections_bounded=bounded,
-        cone_compact=bounded,
-        cone_semicompact=bounded,
-        externally_stable=bounded,
-        connected=bounded,
         passed=bounded,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .dominance import _dominated_flags, _scaled, _tradeoff_bound, _unique_groups
+from .dominance import _frontier_bounds, _scaled, _surviving_indices, _unique_groups
 from .errors import (
     DimensionMismatch,
     EmptySelector,
@@ -84,17 +84,13 @@ def _project(rows: tuple[Point, ...], sel: Selector) -> list[Point]:
 
 
 def _nondominated_labels(inst: MopInstance, projected: list[Point], strict: bool):
-    values, groups = _unique_groups(tuple(projected))
-    flags = _dominated_flags(values, strict)
-    labels = []
-    survivors = set()
-    for value, dominated in zip(values, flags):
-        if not dominated:
-            survivors.update(groups[value])
-    for i, label in enumerate(inst.labels):
-        if i in survivors:
-            labels.append(label)
-    return labels
+    return [inst.labels[i] for i in _surviving_indices(tuple(projected), strict)]
+
+
+def _efficient_bounds(inst: MopInstance, sel: Selector) -> list[tuple[int, Fraction]]:
+    """Efficient indices of the subproblem with their trade-off bounds."""
+    values, groups = _unique_groups(tuple(_project(inst.objectives, sel)))
+    return _frontier_bounds(groups, _scaled(values))
 
 
 def efficient_solutions(inst: MopInstance, rho) -> list[str]:
@@ -116,18 +112,7 @@ def properly_efficient_solutions(inst: MopInstance, rho) -> dict[str, Fraction]:
     set, whose bound is zero by the empty-competitor convention.
     """
     sel = _selector(inst, rho)
-    projected = _project(inst.objectives, sel)
-    values, groups = _unique_groups(tuple(projected))
-    flags = _dominated_flags(values, strict=False)
-    out: dict[str, Fraction] = {}
-    scaled = _scaled(values)
-    for value, y0, dominated in zip(values, scaled, flags):
-        if dominated:
-            continue
-        bound = _tradeoff_bound(scaled, y0)
-        for i in groups[value]:
-            out[inst.labels[i]] = bound
-    return out
+    return {inst.labels[i]: bound for i, bound in _efficient_bounds(inst, sel)}
 
 
 def all_selectors(p: int) -> list[Selector]:
@@ -158,10 +143,13 @@ def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -
     union_e: dict[str, Selector] = {}
     union_pe: dict[str, Selector] = {}
     for sel in all_selectors(inst.p):
-        for label in efficient_solutions(inst, sel):
-            union_e.setdefault(label, sel)
-        for label in properly_efficient_solutions(inst, sel):
-            union_pe.setdefault(label, sel)
+        frontier = [i for i, _ in _efficient_bounds(inst, sel)]
+        # union_e takes labels in row order, as efficient_solutions lists
+        # them; union_pe in value order, as properly_efficient_solutions
+        for i in sorted(frontier):
+            union_e.setdefault(inst.labels[i], sel)
+        for i in frontier:
+            union_pe.setdefault(inst.labels[i], sel)
     we_set = set(we)
     if not set(union_pe) <= set(union_e) <= we_set:
         raise InternalInconsistency("subproblem unions escaped the weak set")

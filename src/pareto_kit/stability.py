@@ -3,10 +3,10 @@
 For a dominated point y0 the auxiliary problem "minimize the coordinate
 sum over points below y0" always lands on a nondominated point; its cone
 variant minimizes d . y over the points cone-below y0 for a direction d
-with strictly positive products against the cone.  Both are computed by
-exact enumeration with a lexicographic tie-break, and assembled into a
-certificate mapping every index to a nondominated dominator index, which
-can be re-verified without re-running the construction.
+with strictly positive products against the cone; ties are broken
+lexicographically.  One sort-filter scan of the set finds these minimizers
+for every point, assembled into a certificate that can be re-verified
+without re-running the construction.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from fractions import Fraction
 from .cones import PolyhedralCone, cone_contains, strictly_positive_direction
 from .dominance import (
     _checked,
+    _componentwise,
+    _cone_order,
     _dominators,
     _scaled,
     _unique_groups,
@@ -96,31 +98,30 @@ class DominatorCertificate:
 def external_stability_certificate(
     points, ordering: PolyhedralCone | None = None, direction=None
 ) -> DominatorCertificate:
+    """Map every index to the first index of the value that ``find_dominator``
+    (or ``find_dominator_cone``, with its input checks) returns for it."""
     pts = _checked(points)
-    if ordering is not None and direction is None:
-        direction = strictly_positive_direction(ordering)
-    first_index = {}
-    for i, point in enumerate(pts):
-        first_index.setdefault(point, i)
-
+    values, groups = _unique_groups(pts)
     if ordering is None:
-        # the least dominator by (sum(y), y) is the one find_dominator picks
-        values, _ = _unique_groups(pts)
-        found = _dominators(_scaled(values), strict=False)
-        dominator_of = {
-            y: y if j is None else values[j] for y, j in zip(values, found)
-        }
-        dominators = [dominator_of[point] for point in pts]
+        order = _componentwise(_scaled(values), strict=False)
     else:
-        dominators = [
-            find_dominator_cone(pts, ordering, point, direction) for point in pts
-        ]
-
-    assignments: dict[int, int] = {}
-    for i, (point, dominator) in enumerate(zip(pts, dominators)):
-        assignments[i] = i if dominator == point else first_index[dominator]
+        if ordering.dim != len(pts[0]):
+            raise DimensionMismatch("cone and point dimensions differ")
+        if direction is None:
+            direction = strictly_positive_direction(ordering)
+        else:
+            direction = as_point(direction)
+            if any(dot(direction, g) <= 0 for g in ordering.generators):
+                raise ValueError("supplied direction is not strictly positive on the cone")
+            strictly_positive_direction(ordering)  # still reject non-pointed cones
+        order = _cone_order(values, ordering, direction)
+    found = _dominators(*order)
+    target = [0] * len(pts)
+    for group, j in zip(groups.values(), found):
+        for i in group:
+            target[i] = i if j is None else groups[values[j]][0]
     return DominatorCertificate(
-        assignments=assignments,
+        assignments=dict(enumerate(target)),
         cone=ordering,
         direction=None if direction is None else as_point(direction),
     )

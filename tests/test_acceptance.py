@@ -200,9 +200,10 @@ def test_criterion_5_hull_equality(hull_pool):
         assert total >= 500
 
 
-def test_criterion_6_equivalence_routes(poly_pool, poly_reports):
+def test_criterion_6_equivalence_routes(poly_pool):
     with Budget("criterion-6 five-way equivalence (1000 polyhedra)", 60):
-        for (P, tag, member), report in zip(poly_pool, poly_reports):
+        for P, tag, member in poly_pool:
+            report = theorem_full_report(P, [member])
             flags = report.all_flags()
             assert all(flags) or not any(flags)
             if report.y_n_nonempty:

@@ -75,6 +75,15 @@ def test_reducibility_report_equality_case():
     assert report.strict_witnesses == ()
 
 
+def test_reducibility_union_orders():
+    # x2 and x4 share a value; the full selector first finds x2, x4, x3
+    rows = [(0, 3), (1, 2), (2, 1), (1, 2), (3, 0)]
+    report = reducibility_report(mop_instance([f"x{i}" for i in range(1, 6)], rows))
+    assert list(report.union_e) == ["x1", "x5", "x2", "x3", "x4"]
+    assert list(report.union_pe) == ["x1", "x5", "x2", "x4", "x3"]
+    assert report.union_pe["x4"] == (1, 2)
+
+
 def test_reducibility_single_row():
     report = reducibility_report(mop_instance(["only"], [(4, 4)]))
     assert report.we_set == ("only",)

@@ -6,6 +6,7 @@ import pytest
 
 from pareto_kit import (
     cone,
+    cone_nondominated_set,
     external_stability_certificate,
     find_dominator,
     find_dominator_cone,
@@ -13,8 +14,10 @@ from pareto_kit import (
     nondominated_set,
     verify_certificate,
 )
-from pareto_kit.errors import NotMember, NotPointed
+from pareto_kit.cones import cone_contains, strictly_positive_direction
+from pareto_kit.errors import DimensionMismatch, NotMember, NotPointed
 from pareto_kit.generate import gen_cone, gen_finite
+from pareto_kit.numerics import dot
 from pareto_kit.stability import certificate_from_json, certificate_to_json
 
 ONES = (Fraction(1), Fraction(1))
@@ -115,3 +118,66 @@ def test_certificate_json_round_trip():
     assert restored.assignments == cert.assignments
     assert restored.cone == cert.cone
     assert restored.direction == cert.direction
+
+
+def _cone_reference_sets():
+    """About 150 seeded (points, cone) pairs with planted duplicate points."""
+    rng = random.Random(59)
+    for trial in range(150):
+        p = rng.randint(2, 4)
+        points = gen_finite(p, rng.randint(1, 7), trial + 900)
+        for _ in range(rng.randint(0, 2)):
+            points.insert(rng.randint(0, len(points)), rng.choice(points))
+        yield points, gen_cone(p, rng.randint(2, 5), trial + 1100), rng
+
+
+def _pairwise_cone_nondominated(points, ordering):
+    return [
+        i
+        for i, y in enumerate(points)
+        if not any(
+            z != y and cone_contains(ordering, tuple(a - b for a, b in zip(y, z)))
+            for z in points
+        )
+    ]
+
+
+def _perturbed_direction(ordering, rng):
+    """A direction strictly positive on the cone other than the default one."""
+    d = strictly_positive_direction(ordering)
+    r = [Fraction(rng.randint(-3, 3)) for _ in d]
+    slack = min(dot(d, g) for g in ordering.generators)
+    spread = 1 + max(abs(dot(r, g)) for g in ordering.generators)
+    return tuple(a + slack / (2 * spread) * b for a, b in zip(d, r))
+
+
+def test_cone_scan_matches_pairwise_reference_and_find_dominator_cone():
+    for points, ordering, rng in _cone_reference_sets():
+        assert cone_nondominated_set(points, ordering) == _pairwise_cone_nondominated(
+            points, ordering
+        )
+        for direction in (None, _perturbed_direction(ordering, rng)):
+            cert = external_stability_certificate(points, ordering, direction)
+            assert sorted(cert.assignments) == list(range(len(points)))
+            for i, y in enumerate(points):
+                found = find_dominator_cone(points, ordering, y, direction)
+                assert cert.assignments[i] == (i if found == y else points.index(found))
+    # two dominators of (2, 2) tie on d . y; the lexicographically smaller wins
+    tie = [(2, 2), (1, 0), (0, 1)]
+    cert = external_stability_certificate(tie, cone([(2, 1), (1, 2)]), (1, 1))
+    assert cert.assignments == {0: 2, 1: 1, 2: 2}
+
+
+def test_cone_certificate_error_paths():
+    points = [(0, 0), (1, 2)]
+    pointed = cone([(1, 0), (1, 1)])
+    with pytest.raises(DimensionMismatch):
+        external_stability_certificate(points, cone([(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(DimensionMismatch):
+        external_stability_certificate(
+            points, cone([(1, 0, 0), (0, 1, 0)]), (1, 1, 1)
+        )
+    with pytest.raises(ValueError):
+        external_stability_certificate(points, pointed, (0, 1))
+    with pytest.raises(NotPointed):
+        external_stability_certificate(points, cone([(1, 0), (-1, 0), (0, 1)]))
