@@ -148,12 +148,23 @@ def _surviving_indices(points: tuple[Point, ...], strict: bool) -> list[int]:
 
 
 def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
-    """(index, trade-off bound) of every nondominated point, by value group."""
+    """(index, trade-off bound) of every nondominated point, by value group.
+
+    Each bound is taken over the nondominated values alone, which costs
+    O(|N|^2 p) instead of O(|N| n p).  That is exact: if z dominates y and
+    y has a positive gain against the nondominated y0, then z's gain is at
+    least y's and z's loss at most y's.  z is not y0, which cannot
+    dominate a value with a gain against it, and y0 is nondominated, so
+    z's loss is positive and z's ratio is at least y's.  Every dominated
+    value has a nondominated dominator (finite sets are externally
+    stable), so the maximum ratio is unchanged.
+    """
     found = _dominators(*_componentwise(scaled, strict=False))
+    frontier = [y for y, j in zip(scaled, found) if j is None]
     out: list[tuple[int, Fraction]] = []
     for group, y0, j in zip(groups.values(), scaled, found):
         if j is None:
-            bound = _tradeoff_bound(scaled, y0)
+            bound = _tradeoff_bound(frontier, y0)
             out.extend((i, bound) for i in group)
     return out
 
@@ -177,7 +188,10 @@ def _tradeoff_bound(values, y0) -> Fraction:
     largest loss y_j - y0_j whatever i is, so the worst ratio against y is
     its largest gain over its largest loss.  Ratios are compared by
     cross-multiplication, so values scaled by ``_scaled`` give the bound
-    of the rationals they scale.
+    of the rationals they scale.  Callers pass only the nondominated
+    values: a dominator's ratio is never smaller than that of the value it
+    dominates (see ``_frontier_bounds``), and a dominated y0 still meets a
+    competitor with a gain and no loss among them.
     """
     num, den = 0, 1
     for y in values:
@@ -203,9 +217,11 @@ def geoffrion_bound(points, y0) -> Fraction:
     values, _ = _unique_groups(pts)
     scaled = _scaled(values)
     k = values.index(ref)
-    if _dominators(*_componentwise(scaled, strict=False))[k] is not None:
+    found = _dominators(*_componentwise(scaled, strict=False))
+    if found[k] is not None:
         raise NotNondominated("reference point is dominated")
-    return _tradeoff_bound(scaled, scaled[k])
+    frontier = [y for y, j in zip(scaled, found) if j is None]
+    return _tradeoff_bound(frontier, scaled[k])
 
 
 @dataclass(frozen=True)

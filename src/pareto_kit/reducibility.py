@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .dominance import _frontier_bounds, _scaled, _surviving_indices, _unique_groups
+from .dominance import (
+    _componentwise,
+    _dominators,
+    _frontier_bounds,
+    _scaled,
+    _surviving_indices,
+    _unique_groups,
+)
 from .errors import (
     DimensionMismatch,
     EmptySelector,
@@ -79,18 +86,12 @@ def _selector(inst: MopInstance, rho) -> Selector:
     return sel
 
 
-def _project(rows: tuple[Point, ...], sel: Selector) -> list[Point]:
+def _project(rows, sel: Selector) -> list[tuple]:
     return [tuple(row[i - 1] for i in sel) for row in rows]
 
 
 def _nondominated_labels(inst: MopInstance, projected: list[Point], strict: bool):
     return [inst.labels[i] for i in _surviving_indices(tuple(projected), strict)]
-
-
-def _efficient_bounds(inst: MopInstance, sel: Selector) -> list[tuple[int, Fraction]]:
-    """Efficient indices of the subproblem with their trade-off bounds."""
-    values, groups = _unique_groups(tuple(_project(inst.objectives, sel)))
-    return _frontier_bounds(groups, _scaled(values))
 
 
 def efficient_solutions(inst: MopInstance, rho) -> list[str]:
@@ -112,7 +113,8 @@ def properly_efficient_solutions(inst: MopInstance, rho) -> dict[str, Fraction]:
     set, whose bound is zero by the empty-competitor convention.
     """
     sel = _selector(inst, rho)
-    return {inst.labels[i]: bound for i, bound in _efficient_bounds(inst, sel)}
+    values, groups = _unique_groups(tuple(_project(inst.objectives, sel)))
+    return {inst.labels[i]: bound for i, bound in _frontier_bounds(groups, _scaled(values))}
 
 
 def all_selectors(p: int) -> list[Selector]:
@@ -134,16 +136,36 @@ class ReducibilityReport:
 
 
 def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -> ReducibilityReport:
-    """Compare the weakly efficient set against the subproblem unions."""
+    """Compare the weakly efficient set against the subproblem unions.
+
+    One strict scan finds the weakly efficient (WE) rows, which are scaled
+    to integers once.  Each selector then groups the projections of those
+    integer rows and runs one non-strict scan, with no bounds: on finite
+    sets proper efficiency equals efficiency, so ``union_pe`` holds the
+    labels of ``union_e`` in value-group order.  Leaving the other rows out
+    is exact.  A row that is not WE is strictly beaten in every objective
+    by some WE row, so in every projection its value is dominated and no
+    value carrying it is nondominated.  A dominated projected value keeps
+    a nondominated dominator, whose rows are all WE, so the restricted
+    scan keeps the same nondominated values.  Their groups hold the same
+    rows, met in the same row order, so both unions keep the order that
+    ``efficient_solutions`` and ``properly_efficient_solutions`` give.
+    """
     if inst.p > max_objectives:
         raise TooManyObjectives(
             f"{inst.p} objectives exceed the enumeration cap {max_objectives}"
         )
-    we = weakly_efficient_solutions(inst)
+    rows = _surviving_indices(inst.objectives, strict=True)
+    we = [inst.labels[i] for i in rows]
+    scaled = _scaled([inst.objectives[i] for i in rows])
     union_e: dict[str, Selector] = {}
     union_pe: dict[str, Selector] = {}
     for sel in all_selectors(inst.p):
-        frontier = [i for i, _ in _efficient_bounds(inst, sel)]
+        values, groups = _unique_groups(tuple(_project(scaled, sel)))
+        found = _dominators(*_componentwise(values, strict=False))
+        frontier = [
+            rows[k] for group, j in zip(groups.values(), found) if j is None for k in group
+        ]
         # union_e takes labels in row order, as efficient_solutions lists
         # them; union_pe in value order, as properly_efficient_solutions
         for i in sorted(frontier):

@@ -67,7 +67,6 @@ def find_dominator_cone(points, ordering: PolyhedralCone, y0, direction=None) ->
         d = as_point(direction)
         if any(dot(d, g) <= 0 for g in ordering.generators):
             raise ValueError("supplied direction is not strictly positive on the cone")
-        strictly_positive_direction(ordering)  # still reject non-pointed cones
     values, _ = _unique_groups(pts)
     d_ref = dot(d, ref)
     feasible = []
@@ -113,7 +112,6 @@ def external_stability_certificate(
             direction = as_point(direction)
             if any(dot(direction, g) <= 0 for g in ordering.generators):
                 raise ValueError("supplied direction is not strictly positive on the cone")
-            strictly_positive_direction(ordering)  # still reject non-pointed cones
         order = _cone_order(values, ordering, direction)
     found = _dominators(*order)
     target = [0] * len(pts)

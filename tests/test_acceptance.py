@@ -112,11 +112,6 @@ def poly_pool():
     return pool
 
 
-@pytest.fixture(scope="module")
-def poly_reports(poly_pool):
-    return [theorem_full_report(P, [member]) for P, _, member in poly_pool]
-
-
 def test_criterion_1_dominance_chain(finite_pool):
     with Budget("criterion-1 dominance chain (1000 instances)", 10):
         for points in finite_pool:
@@ -224,9 +219,10 @@ def test_criterion_6_equivalence_routes(poly_pool):
         assert all_false.negative_direction == (Fraction(-1), Fraction(0))
 
 
-def test_criterion_7_redundancy(poly_pool, poly_reports):
+def test_criterion_7_redundancy(poly_pool):
     with Budget("criterion-7 redundancy of the compactness hypothesis", 30):
-        for (P, tag, member), report in zip(poly_pool, poly_reports):
+        for P, tag, member in poly_pool:
+            report = theorem_full_report(P, [member])
             demo = redundancy_demonstration(P, [member])
             assert demo.passed
             assert demo.applicable == report.y_n_nonempty
@@ -234,10 +230,11 @@ def test_criterion_7_redundancy(poly_pool, poly_reports):
                 assert demo.sections_bounded
 
 
-def test_criterion_8_connectedness(poly_pool, poly_reports, hull_pool):
+def test_criterion_8_connectedness(poly_pool, hull_pool):
     with Budget("criterion-8 frontier connectedness (k in 4, 8, 16)", 30):
         checked = 0
-        for (P, tag, member), report in zip(poly_pool, poly_reports):
+        for P, tag, member in poly_pool:
+            report = theorem_full_report(P, [member])
             if not report.y_n_nonempty:
                 continue
             checked += 1

@@ -94,6 +94,18 @@ def test_report_bounds_example():
     assert report.bounds[0] == Fraction(2)
 
 
+def test_bound_worst_competitor_scanned_after_reference():
+    # the scan visits (-1, 5, 1), then y0 = (0, 0, 6), then the worst
+    # competitor (4, 4, 0), which dominates (5, 5, 1)
+    points = [tuple(map(Fraction, y)) for y in [(0, 0, 6), (4, 4, 0), (-1, 5, 1), (5, 5, 1)]]
+    report = properly_nondominated_set(points)
+    assert report.nondominated == (0, 1, 2)
+    assert report.bounds[0] == Fraction(3, 2)
+    for i in report.nondominated:
+        expected = oracle_geoffrion_bound(points, points[i])
+        assert report.bounds[i] == geoffrion_bound(points, points[i]) == expected
+
+
 def test_oracle_equivalence_fuzz():
     rng = random.Random(13)
     for trial in range(120):

@@ -84,6 +84,41 @@ def test_reducibility_union_orders():
     assert report.union_pe["x4"] == (1, 2)
 
 
+def test_dominated_weakly_efficient_row_ties_in_projection():
+    # x2 is dominated by x1 but weakly efficient, and ties x1 under (1,);
+    # x3 is strictly beaten by x1
+    report = reducibility_report(
+        mop_instance(["x1", "x2", "x3"], [(0, 1), (0, 2), (1, 3)])
+    )
+    assert report.we_set == ("x1", "x2")
+    assert report.union_e == {"x1": (1,), "x2": (1,)}
+    assert report.union_pe == {"x1": (1,), "x2": (1,)}
+    assert report.equality_e and report.equality_pe
+
+
+def test_reducibility_union_orders_under_projection():
+    # mixed denominators; under (1, 2), x2 and x5 share (1, 1/2), which
+    # comes before x3's (1/2, 1) in row order but after it in scan order
+    rows = [
+        (0, Fraction(3, 2), Fraction(5, 3)),
+        (1, HALF, 3),
+        (HALF, 1, 3),
+        (Fraction(3, 2), 0, 3),
+        (Fraction(2, 2), Fraction(2, 4), Fraction(7, 3)),
+    ]
+    inst = mop_instance([f"x{i}" for i in range(1, 6)], rows)
+    report = reducibility_report(inst)
+    assert list(report.union_e.items()) == [
+        ("x1", (1,)), ("x4", (2,)), ("x2", (1, 2)), ("x3", (1, 2)), ("x5", (1, 2))
+    ]
+    assert list(report.union_pe.items()) == [
+        ("x1", (1,)), ("x4", (2,)), ("x2", (1, 2)), ("x5", (1, 2)), ("x3", (1, 2))
+    ]
+    assert list(properly_efficient_solutions(inst, (1, 2))) == [
+        "x1", "x2", "x5", "x3", "x4"
+    ]
+
+
 def test_reducibility_single_row():
     report = reducibility_report(mop_instance(["only"], [(4, 4)]))
     assert report.we_set == ("only",)

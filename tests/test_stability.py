@@ -181,3 +181,28 @@ def test_cone_certificate_error_paths():
         external_stability_certificate(points, pointed, (0, 1))
     with pytest.raises(NotPointed):
         external_stability_certificate(points, cone([(1, 0), (-1, 0), (0, 1)]))
+
+
+def test_supplied_direction_on_line_cone_is_rejected():
+    # no direction is positive on every generator of a cone with a line
+    points = [(0, 0), (1, 2)]
+    line = cone([(1, 0), (-1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        find_dominator_cone(points, line, (1, 2), (1, 1))
+    with pytest.raises(ValueError):
+        external_stability_certificate(points, line, (1, 1))
+
+
+def test_supplied_direction_on_lower_rank_pointed_cone():
+    ordering = cone([(1, 0, 0), (1, 1, 0)])
+    points = [(2, 1, 0), (0, 0, 0), (1, 1, 0), (3, 0, 0),
+              (0, 0, 1), (1, 0, 1), (2, 2, 1), (0, 1, 0)]
+    direction = (1, 1, 1)
+    cert = external_stability_certificate(points, ordering, direction)
+    assert cert.assignments == {0: 1, 1: 1, 2: 1, 3: 1, 4: 4, 5: 4, 6: 4, 7: 7}
+    assert cert.direction == (1, 1, 1)
+    assert verify_certificate(points, cert)
+    assert [find_dominator_cone(points, ordering, y, direction) for y in points] == [
+        points[j] for j in cert.assignments.values()
+    ]
+    assert external_stability_certificate(points, ordering).assignments == cert.assignments
