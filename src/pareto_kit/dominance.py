@@ -24,7 +24,7 @@ from .errors import (
     NotNondominated,
 )
 from .numerics import dot
-from .numerics.rational import as_matrix, as_point, common_denominator
+from .numerics.rational import as_matrix, as_point, scaled_rows
 
 Point = tuple[Fraction, ...]
 
@@ -76,18 +76,6 @@ def _unique_groups(points: tuple[Point, ...]):
         groups.setdefault(point, []).append(i)
     values = list(groups)
     return values, groups
-
-
-def _scaled(values: list[Point]) -> list[tuple[int, ...]]:
-    """The values times the least common denominator of all coordinates.
-
-    A positive common factor keeps every componentwise comparison and every
-    trade-off ratio, so flags and bounds computed on these integers are
-    those of the rationals.
-    """
-    nums, _ = common_denominator([c for value in values for c in value])
-    p = len(values[0])
-    return [tuple(nums[k : k + p]) for k in range(0, len(nums), p)]
 
 
 def _componentwise(scaled: list[tuple[int, ...]], strict: bool):
@@ -144,7 +132,7 @@ def _survivors(found: list[int | None], groups: dict[Point, list[int]]) -> list[
 
 def _surviving_indices(points: tuple[Point, ...], strict: bool) -> list[int]:
     values, groups = _unique_groups(points)
-    return _survivors(_dominators(*_componentwise(_scaled(values), strict)), groups)
+    return _survivors(_dominators(*_componentwise(scaled_rows(values), strict)), groups)
 
 
 def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
@@ -187,7 +175,7 @@ def _tradeoff_bound(values, y0) -> Fraction:
     exists.  Zero when no competitor improves anywhere.  The best j has the
     largest loss y_j - y0_j whatever i is, so the worst ratio against y is
     its largest gain over its largest loss.  Ratios are compared by
-    cross-multiplication, so values scaled by ``_scaled`` give the bound
+    cross-multiplication, so values scaled by ``scaled_rows`` give the bound
     of the rationals they scale.  Callers pass only the nondominated
     values: a dominator's ratio is never smaller than that of the value it
     dominates (see ``_frontier_bounds``), and a dominated y0 still meets a
@@ -215,7 +203,7 @@ def geoffrion_bound(points, y0) -> Fraction:
     if ref not in pts:
         raise NotMember("reference point is not in the set")
     values, _ = _unique_groups(pts)
-    scaled = _scaled(values)
+    scaled = scaled_rows(values)
     k = values.index(ref)
     found = _dominators(*_componentwise(scaled, strict=False))
     if found[k] is not None:
@@ -241,7 +229,7 @@ def properly_nondominated_set(points) -> DominanceReport:
     """
     pts = _checked(points)
     values, groups = _unique_groups(pts)
-    scaled = _scaled(values)
+    scaled = scaled_rows(values)
     frontier = _frontier_bounds(groups, scaled)
     weak = _survivors(_dominators(*_componentwise(scaled, strict=True)), groups)
     nondominated = sorted(i for i, _ in frontier)

@@ -6,6 +6,15 @@ program solved here with a two-phase simplex over exact rationals and
 Bland's pivot rule.  Outcomes are therefore exact and reproducible:
 identical inputs give identical statuses, values, and points.  The pivot
 loop runs on the integer tableau of ``_simplex_py``.
+
+``lp_solve`` and ``lp_solve_batch`` share one driver, ``_solve``.  It
+takes the objective-independent part of a program (``_Template``: the
+constraints scaled to integers once, standardized, plus the phase-1 cost
+row and the bounds) and a list of objectives.  For each objective it
+builds the cost row, reuses the basis kept from the previous optimum
+when that point is provably the unique optimum, and otherwise solves
+cold; every optimal outcome is then re-substituted by ``_check_outcome``
+into the same integer rows before it is returned.
 """
 
 from __future__ import annotations
@@ -86,37 +95,20 @@ def linprog(objective, rows, lower=None, upper=None) -> LinearProgram:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-@dataclass
-class _Standardized:
-    """A standardized program in the tableau's form: each row is Python
-    ints over one positive row denominator, in lowest terms.
-
-    ``rows`` holds the constraint rows, then the phase-2 cost row, then
-    the phase-1 cost row; ``dens`` holds their denominators.
-    """
-
-    rows: list[list[int]]
-    dens: list[int]
-    nrows: int
-    n_real: int
-    n_std: int
-    basis: list[int]
-    has_artificial: bool
-    var_map: list[tuple]
-    offset: Fraction
 
 
 @dataclass
 class _Template:
-    """Objective-independent part of a standardized program.
+    """The objective-independent part of a standardized program.
 
     The constraint rows, initial basis, and phase-1 cost row depend only
-    on the rows and bounds, so a batch of programs differing in the
-    objective can share one template.  Rows are in the tableau's integer
-    form (see ``_Standardized``).
+    on the rows and bounds, so every objective of a batch shares one
+    template.  ``rows`` are in the tableau's form: Python ints over one
+    positive row denominator (``dens``), in lowest terms.  ``checks``
+    holds each original constraint a . x (rel) rhs scaled to integers by
+    the least common denominator of its coefficients and right-hand side,
+    and ``lower`` and ``upper`` hold one bound (or None) per variable;
+    ``_check_outcome`` reads those.
     """
 
     rows: list[list[int]]
@@ -126,10 +118,12 @@ class _Template:
     nrows: int
     n_real: int
     n_std: int
-    n_slack: int
     n_art: int
     basis: list[int]
     var_map: list[tuple]
+    checks: list[tuple[list[int], str, int]]
+    lower: tuple[Fraction | None, ...]
+    upper: tuple[Fraction | None, ...]
 
 
 def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -140,17 +134,19 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     return nums, den
 
 
-def _standardize_rows(n, constraints, lower, upper) -> _Template:
+def _template(lp: LinearProgram) -> _Template:
     """Rewrite the constraint system as Ax = b, x >= 0, b >= 0.
 
     Lower-bounded variables are shifted; unbounded ones are split into a
     positive and a negative part.  Upper bounds become extra rows.  Rows
     whose own slack survives with coefficient +1 start basic; every other
-    row receives an artificial variable for phase 1.  Each row is built
-    directly as integers over its own denominator.
+    row receives an artificial variable for phase 1.  Each constraint is
+    scaled to integers once; its standardized row is built from those
+    integers over its own denominator.
     """
-    lower = lower if lower is not None else (None,) * n
-    upper = upper if upper is not None else (None,) * n
+    n = len(lp.objective)
+    lower = lp.lower if lp.lower is not None else (None,) * n
+    upper = lp.upper if lp.upper is not None else (None,) * n
 
     var_map: list[tuple] = []
     n_std = 0
@@ -162,11 +158,10 @@ def _standardize_rows(n, constraints, lower, upper) -> _Template:
             var_map.append(("split", n_std, n_std + 1))
             n_std += 2
 
-    def to_std(coeffs, rhs):
-        """Standardized coefficients and right-hand side rhs - a . lower,
-        as integer numerators over one positive denominator."""
-        nums, den = common_denominator((*coeffs, rhs))
-        rhs_num = nums.pop()
+    def to_std(nums, rhs_num, den):
+        """Standardized coefficients and right-hand side rhs - a . lower of
+        the row ``nums`` . x (rel) ``rhs_num``, both over ``den``, as
+        integer numerators over one positive denominator."""
         out = [0] * n_std
         shifts = []
         for a, kind in zip(nums, var_map):
@@ -186,15 +181,19 @@ def _standardize_rows(n, constraints, lower, upper) -> _Template:
         nums, den = _lowest([x * scale for x in out] + [rhs_num], den * scale)
         return nums[:-1], nums[-1], den
 
+    checks: list[tuple[list[int], str, int]] = []
     raw_rows: list[tuple[str, list[int], int, int]] = []
-    for con in constraints:
-        raw_rows.append((con.relation, *to_std(con.coeffs, con.rhs)))
+    for con in lp.constraints:
+        nums, den = common_denominator((*con.coeffs, con.rhs))
+        coeffs, rhs = nums[:-1], nums[-1]
+        checks.append((coeffs, con.relation, rhs))
+        raw_rows.append((con.relation, *to_std(coeffs, rhs, den)))
     for j in range(n):
-        if upper[j] is None:
-            continue
-        unit = [_ZERO] * n
-        unit[j] = _ONE
-        raw_rows.append((LE, *to_std(unit, upper[j])))
+        if upper[j] is not None:
+            den = upper[j].denominator
+            unit = [0] * n
+            unit[j] = den
+            raw_rows.append((LE, *to_std(unit, upper[j].numerator, den)))
 
     nrows = len(raw_rows)
     n_slack = sum(1 for rel, *_ in raw_rows if rel != EQ)
@@ -252,61 +251,52 @@ def _standardize_rows(n, constraints, lower, upper) -> _Template:
         nrows=nrows,
         n_real=n_real,
         n_std=n_std,
-        n_slack=n_slack,
         n_art=n_art,
         basis=basis,
         var_map=var_map,
+        checks=checks,
+        lower=lower,
+        upper=upper,
     )
 
 
-def _with_objective(template: _Template, objective) -> _Standardized:
-    """Attach a cost row to a template; the rows themselves are shared
-    (the tableau never mutates a row list in place)."""
-    nums, den = common_denominator(objective)
-    cost2 = [0] * (template.n_real + template.n_art + 1)
+def _cost_row(template: _Template, objective, nums: list[int]):
+    """The standardized phase-2 cost row of ``objective``, whose integer
+    numerators over its common denominator are ``nums``, and the constant
+    objective . lower that the shifted variables drop."""
+    row = [0] * (template.n_real + template.n_art + 1)
     offset = _ZERO
     for c, cj, kind in zip(nums, objective, template.var_map):
         if c == 0:
             continue
-        cost2[kind[1]] = c
+        row[kind[1]] = c
         if kind[0] == "split":
-            cost2[kind[2]] = -c
+            row[kind[2]] = -c
         elif kind[2]:
             offset += cj * kind[2]
-    return _Standardized(
-        rows=template.rows + [cost2, template.cost1],
-        dens=template.dens + [den, template.cost1_den],
-        nrows=template.nrows,
-        n_real=template.n_real,
-        n_std=template.n_std,
-        basis=template.basis,
-        has_artificial=template.n_art > 0,
-        var_map=template.var_map,
-        offset=offset,
-    )
+    return row, offset
 
 
-def _standardize(lp: LinearProgram) -> _Standardized:
-    template = _standardize_rows(
-        len(lp.objective), lp.constraints, lp.lower, lp.upper
-    )
-    return _with_objective(template, lp.objective)
-
-
-def _run(std: _Standardized):
+def _run(template: _Template, cost_row: list[int], cost_den: int):
     """Two-phase Bland simplex; returns (status, final tableau, basis).
 
-    The tableau and basis are returned only for an OPTIMAL status.
+    The tableau holds the template's rows, then the phase-2 cost row
+    ``cost_row`` over ``cost_den``, then the phase-1 cost row; the shared
+    row lists are never mutated in place.  The tableau and basis are
+    returned only for an OPTIMAL status.
     """
-    tableau = _simplex_py.Tableau(std.rows, std.dens)
-    m = std.nrows
+    tableau = _simplex_py.Tableau(
+        template.rows + [cost_row, template.cost1],
+        template.dens + [cost_den, template.cost1_den],
+    )
+    m = template.nrows
     rhs_col = tableau.ncols - 1
-    basis = list(std.basis)
+    basis = list(template.basis)
     phase2_row, phase1_row = m, m + 1
 
-    if std.has_artificial:
+    if template.n_art:
         while True:
-            col = tableau.entering(phase1_row, std.n_real)
+            col = tableau.entering(phase1_row, template.n_real)
             if col < 0:
                 break
             row = tableau.leaving(col, m, basis)
@@ -320,14 +310,14 @@ def _run(std: _Standardized):
         # on any nonzero real column; a row with none is inert (its basic
         # artificial can never change value again).
         for r in range(m):
-            if basis[r] >= std.n_real:
-                col = tableau.first_nonzero(r, std.n_real)
+            if basis[r] >= template.n_real:
+                col = tableau.first_nonzero(r, template.n_real)
                 if col >= 0:
                     tableau.pivot(r, col, m + 2)
                     basis[r] = col
 
     while True:
-        col = tableau.entering(phase2_row, std.n_real)
+        col = tableau.entering(phase2_row, template.n_real)
         if col < 0:
             break
         row = tableau.leaving(col, m, basis)
@@ -343,33 +333,24 @@ def active_backend() -> str:
     return "pure"
 
 
-def _integer_rows(constraints) -> list[tuple[list[int], str, int]]:
-    """Each constraint a . x (rel) rhs scaled to integers by the least
-    common denominator of its coefficients and right-hand side."""
-    rows = []
-    for con in constraints:
-        nums, _ = common_denominator((*con.coeffs, con.rhs))
-        rows.append((nums[:-1], con.relation, nums[-1]))
-    return rows
-
-
-def _check_outcome(lp: LinearProgram, rows, outcome: LpOutcome) -> None:
+def _check_outcome(
+    template: _Template, cost: list[int], cost_den: int, outcome: LpOutcome
+) -> None:
     """Re-substitute an optimal outcome into its program, exactly.
 
-    ``rows`` is ``_integer_rows(lp.constraints)``.  The point is scaled by
+    ``cost`` over ``cost_den`` is the objective.  The point is scaled by
     the common denominator of its coordinates, so each equation and
-    inequality is checked between integers with the same truth value it
-    has over the rationals.
+    inequality of ``template.checks`` is checked between integers with
+    the same truth value it has over the rationals.
     """
     point = outcome.point
     xs, den = common_denominator(point)
-    cs, cost_den = common_denominator(lp.objective)
     value = outcome.value
-    if sum(map(mul, cs, xs)) * value.denominator != (
+    if sum(map(mul, cost, xs)) * value.denominator != (
         value.numerator * cost_den * den
     ):
         raise InternalInconsistency("objective value mismatch")
-    for coeffs, relation, rhs in rows:
+    for coeffs, relation, rhs in template.checks:
         lhs = sum(map(mul, coeffs, xs))
         rhs *= den
         if relation == LE:
@@ -380,48 +361,21 @@ def _check_outcome(lp: LinearProgram, rows, outcome: LpOutcome) -> None:
             ok = lhs == rhs
         if not ok:
             raise InternalInconsistency("solver returned an infeasible point")
-    n = len(lp.objective)
-    lower = lp.lower if lp.lower is not None else (None,) * n
-    upper = lp.upper if lp.upper is not None else (None,) * n
-    for x, lo, hi in zip(point, lower, upper):
+    for x, lo, hi in zip(point, template.lower, template.upper):
         if lo is not None and x < lo:
             raise InternalInconsistency("lower bound violated")
         if hi is not None and x > hi:
             raise InternalInconsistency("upper bound violated")
 
 
-def _basic_solution(std: _Standardized, tableau, basis):
+def _basic_solution(template: _Template, tableau, basis):
     """The standardized point and objective value of an optimal tableau."""
     rhs_col = tableau.ncols - 1
-    x_std = [_ZERO] * std.n_std
-    for r in range(std.nrows):
-        if basis[r] < std.n_std:
+    x_std = [_ZERO] * template.n_std
+    for r in range(template.nrows):
+        if basis[r] < template.n_std:
             x_std[basis[r]] = tableau.get(r, rhs_col)
-    return x_std, -tableau.get(std.nrows, rhs_col)
-
-
-def _optimal_outcome(
-    lp: LinearProgram, rows, std: _Standardized, x_std, value_std: Fraction
-) -> LpOutcome:
-    point = []
-    for kind in std.var_map:
-        if kind[0] == "shift":
-            point.append(kind[2] + x_std[kind[1]])
-        else:
-            point.append(x_std[kind[1]] - x_std[kind[2]])
-    outcome = LpOutcome(OPTIMAL, value_std + std.offset, tuple(point))
-    _check_outcome(lp, rows, outcome)
-    return outcome
-
-
-def _solve_standardized(lp: LinearProgram, std: _Standardized) -> LpOutcome:
-    status, tableau, basis = _run(std)
-    if status != OPTIMAL:
-        return LpOutcome(status)
-    x_std, value_std = _basic_solution(std, tableau, basis)
-    return _optimal_outcome(
-        lp, _integer_rows(lp.constraints), std, x_std, value_std
-    )
+    return x_std, -tableau.get(template.nrows, rhs_col)
 
 
 class _OptimalBasis:
@@ -433,13 +387,12 @@ class _OptimalBasis:
     ``get`` and scaled to integers over one common denominator.
     """
 
-    def __init__(self, std: _Standardized, tableau, basis, x_std):
+    def __init__(self, template: _Template, tableau, basis, x_std):
         self.x_std = x_std
         self.x_nums, self.x_den = common_denominator(x_std)
         basic = set(basis)
-        self.n_real = std.n_real
-        self.nonbasic = [j for j in range(std.n_real) if j not in basic]
-        structural = [r for r in range(std.nrows) if basis[r] < std.n_std]
+        self.nonbasic = [j for j in range(template.n_real) if j not in basic]
+        structural = [r for r in range(template.nrows) if basis[r] < template.n_std]
         self.basic = [basis[r] for r in structural]
         entries, self.den = common_denominator(
             [tableau.get(r, j) for r in structural for j in self.nonbasic]
@@ -467,53 +420,69 @@ class _OptimalBasis:
         return Fraction(sum(map(mul, costs, self.x_nums)), den * self.x_den)
 
 
+def _solve(template: _Template, costs) -> list[LpOutcome]:
+    """Minimize each objective of ``costs`` over the template's program.
+
+    After an optimal cold solve of a system without artificial variables,
+    when another objective follows, the final basis is kept.  When every
+    nonbasic reduced cost of the next objective at that basis is strictly
+    positive, the basic solution is the program's unique optimum, so a
+    cold solve would return that same point; it is reused and its value
+    recomputed.  Otherwise, ties (a zero reduced cost) included, the
+    objective is solved from the initial basis.  Every optimal outcome,
+    reused or not, passes ``_check_outcome`` before it is returned.
+    """
+    outcomes = []
+    kept = None
+    for k, objective in enumerate(costs):
+        nums, den = common_denominator(objective)
+        row, offset = _cost_row(template, objective, nums)
+        if kept is not None and kept.unique_optimum(row):
+            x_std, value_std = kept.x_std, kept.value(row, den)
+        else:
+            status, tableau, basis = _run(template, row, den)
+            if status != OPTIMAL:
+                outcomes.append(LpOutcome(status))
+                continue
+            x_std, value_std = _basic_solution(template, tableau, basis)
+            if template.n_art == 0 and k + 1 < len(costs):
+                kept = _OptimalBasis(template, tableau, basis, x_std)
+        point = tuple(
+            kind[2] + x_std[kind[1]]
+            if kind[0] == "shift"
+            else x_std[kind[1]] - x_std[kind[2]]
+            for kind in template.var_map
+        )
+        outcome = LpOutcome(OPTIMAL, value_std + offset, point)
+        _check_outcome(template, nums, den, outcome)
+        outcomes.append(outcome)
+    return outcomes
+
+
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; deterministic including the returned point.
 
     Optimal outcomes are re-substituted into every constraint before being
     returned, so a reported point satisfies the program exactly.
     """
-    return _solve_standardized(lp, _standardize(lp))
+    return _solve(_template(lp), [lp.objective])[0]
 
 
 def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
     """Solve one program per objective over a shared constraint system.
 
     Produces exactly the same outcomes as calling lp_solve per objective.
-    The constraint standardization is done once, and the final basis of
-    the last optimal solve is kept.  When the constraint system needs no
-    artificial variables and every nonbasic reduced cost of the next
-    objective at that basis is strictly positive, the basic solution is
-    the program's unique optimum, so a cold solve would return that same
-    point; it is reused and its value recomputed.  Otherwise, ties (a zero
-    reduced cost) included, the objective is solved from the slack basis.
-    Every optimal outcome, reused or not, is re-substituted into the
-    program before it is returned.
+    The constraint standardization is done once, and ``_solve`` reuses a
+    kept optimal basis wherever it is provably the unique optimum.
     """
     costs = [tuple(as_fraction(c) for c in objective) for objective in objectives]
     if not costs:
         return []
     base = linprog(costs[0], rows, lower, upper)
-    template = _standardize_rows(
-        len(base.objective), base.constraints, base.lower, base.upper
-    )
-    int_rows = _integer_rows(base.constraints)
-    outcomes = []
-    kept = None
+    n = len(base.objective)
     for cost in costs:
-        lp = LinearProgram(cost, base.constraints, base.lower, base.upper)
-        std = _with_objective(template, cost)
-        cost_row = std.rows[std.nrows]
-        if kept is not None and kept.unique_optimum(cost_row):
-            x_std = kept.x_std
-            value_std = kept.value(cost_row, std.dens[std.nrows])
-        else:
-            status, tableau, basis = _run(std)
-            if status != OPTIMAL:
-                outcomes.append(LpOutcome(status))
-                continue
-            x_std, value_std = _basic_solution(std, tableau, basis)
-            if template.n_art == 0:
-                kept = _OptimalBasis(std, tableau, basis, x_std)
-        outcomes.append(_optimal_outcome(lp, int_rows, std, x_std, value_std))
-    return outcomes
+        if len(cost) != n:
+            raise DimensionMismatch(
+                f"objective has {len(cost)} coefficients, expected {n}"
+            )
+    return _solve(_template(base), costs)

@@ -97,3 +97,15 @@ def common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     values = list(values)
     den = lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def scaled_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
+    """The rows times the least common denominator of all their entries.
+
+    A positive common factor keeps every componentwise comparison, every
+    ratio and every argmin, so decisions taken on these integers are
+    those of the rationals.  ``rows`` is non-empty and of one width.
+    """
+    nums, _ = common_denominator([x for row in rows for x in row])
+    p = len(rows[0])
+    return [tuple(nums[k : k + p]) for k in range(0, len(nums), p)]

@@ -39,8 +39,8 @@ from .numerics.linprog import lp_solve_batch
 from .numerics.rational import (
     as_matrix,
     as_point,
-    common_denominator,
     rational_format,
+    scaled_rows,
 )
 
 Point = tuple[Fraction, ...]
@@ -183,9 +183,9 @@ def _section_minima(P: Polyhedron, anchor: Point, weight_list) -> list[LpOutcome
     return outcomes
 
 
-def _section_minimum(P: Polyhedron, anchor: Point, weights=None):
-    lam = tuple(Fraction(1) for _ in range(P.dim)) if weights is None else tuple(weights)
-    return _section_minima(P, anchor, [lam])[0]
+def _section_minimum(P: Polyhedron, anchor: Point) -> LpOutcome:
+    """Minimize the coordinate sum over {y in P : y <= anchor}."""
+    return _section_minima(P, anchor, [(Fraction(1),) * P.dim])[0]
 
 
 @dataclass(frozen=True)
@@ -368,8 +368,7 @@ def frontier_sample_connected(source, grid: int, epsilon=None, anchor=None) -> C
         # Scores on the generators scaled by their common denominator and
         # on the weights' integer numerators: a positive factor keeps the
         # argmin and its first-index tie-break.
-        flat, _ = common_denominator(x for g in source.generators for x in g)
-        scaled = [flat[i : i + p] for i in range(0, len(flat), p)]
+        scaled = scaled_rows(source.generators)
         optima = []
         for counts in grid_counts:
             scores = [sum(map(mul, counts, g)) for g in scaled]

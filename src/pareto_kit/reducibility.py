@@ -22,7 +22,6 @@ from .dominance import (
     _componentwise,
     _dominators,
     _frontier_bounds,
-    _scaled,
     _surviving_indices,
     _unique_groups,
 )
@@ -43,7 +42,7 @@ from .hulls import (
     _weakly_nondominated,
     hull_contains,
 )
-from .numerics.rational import as_matrix, as_point, dot, rational_format
+from .numerics.rational import as_matrix, as_point, dot, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
 Selector = tuple[int, ...]
@@ -114,7 +113,7 @@ def properly_efficient_solutions(inst: MopInstance, rho) -> dict[str, Fraction]:
     """
     sel = _selector(inst, rho)
     values, groups = _unique_groups(tuple(_project(inst.objectives, sel)))
-    return {inst.labels[i]: bound for i, bound in _frontier_bounds(groups, _scaled(values))}
+    return {inst.labels[i]: bound for i, bound in _frontier_bounds(groups, scaled_rows(values))}
 
 
 def all_selectors(p: int) -> list[Selector]:
@@ -157,7 +156,7 @@ def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -
         )
     rows = _surviving_indices(inst.objectives, strict=True)
     we = [inst.labels[i] for i in rows]
-    scaled = _scaled([inst.objectives[i] for i in rows])
+    scaled = scaled_rows([inst.objectives[i] for i in rows])
     union_e: dict[str, Selector] = {}
     union_pe: dict[str, Selector] = {}
     for sel in all_selectors(inst.p):

@@ -20,14 +20,13 @@ from .dominance import (
     _componentwise,
     _cone_order,
     _dominators,
-    _scaled,
     _unique_groups,
     cone_nondominated_set,
     nondominated_set,
 )
 from .errors import DimensionMismatch, NotMember
 from .numerics import dot
-from .numerics.rational import as_point, rational_format
+from .numerics.rational import as_point, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
 
@@ -102,7 +101,7 @@ def external_stability_certificate(
     pts = _checked(points)
     values, groups = _unique_groups(pts)
     if ordering is None:
-        order = _componentwise(_scaled(values), strict=False)
+        order = _componentwise(scaled_rows(values), strict=False)
     else:
         if ordering.dim != len(pts[0]):
             raise DimensionMismatch("cone and point dimensions differ")

@@ -2,6 +2,7 @@ import importlib
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from pareto_kit.numerics import (
     rational_format,
     rational_parse,
 )
+from pareto_kit.numerics.rational import common_denominator
 
 from oracles import oracle_lp_minimum
 
@@ -162,9 +164,9 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
     cold_solves = []
     run = linprog_module._run
 
-    def counting(std):
-        cold_solves.append(std)
-        return run(std)
+    def counting(*args):
+        cold_solves.append(args)
+        return run(*args)
 
     monkeypatch.setattr(linprog_module, "_run", counting)
     rows = [([1, 1], LE, 4)]
@@ -202,14 +204,135 @@ def test_leaving_row_ties_go_to_smallest_basic_variable():
 def test_check_outcome_rejects_planted_wrong_outcome():
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     lp = linprog([1, 1], [([1, 1], GE, 2)], lower=[0, 0])
-    rows = linprog_module._integer_rows(lp.constraints)
+    template = linprog_module._template(lp)
+    cost = common_denominator(lp.objective)
     good = lp_solve(lp)
-    linprog_module._check_outcome(lp, rows, good)
+    linprog_module._check_outcome(template, *cost, good)
     wrong_value = LpOutcome(OPTIMAL, good.value + 1, good.point)
     infeasible_point = LpOutcome(OPTIMAL, Fraction(1), (Fraction(1), Fraction(0)))
     for outcome in (wrong_value, infeasible_point):
         with pytest.raises(InternalInconsistency):
-            linprog_module._check_outcome(lp, rows, outcome)
+            linprog_module._check_outcome(template, *cost, outcome)
+
+
+def test_batch_objective_of_wrong_length_is_rejected():
+    from pareto_kit.numerics.linprog import lp_solve_batch
+
+    rows = [([1, 1], LE, 4)]
+    for objectives in ([[1, 1], [1, 1, 1]], [[1, 1], [1]], [[1], [1, 1]]):
+        with pytest.raises(DimensionMismatch):
+            lp_solve_batch(objectives, rows, lower=[0, 0])
+
+
+def _planted_outcome_routes():
+    """Plant a wrong optimal value on each route through the LP driver (a
+    cold single solve, a cold batch solve, and a point reused from a kept
+    basis) and require InternalInconsistency on each.
+
+    Patches by hand and raises instead of asserting, so that it checks
+    the same under ``python -O``.
+    """
+    from pareto_kit.numerics.linprog import lp_solve_batch
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    rows = [([1, 1], LE, 4)]
+    # both objectives have the unique optimum (0, 4): the second one
+    # reuses the basis kept from the first
+    objectives = [[-1, -2], [-1, -3]]
+
+    def patched(owner, name, replacement, solve):
+        original = getattr(owner, name)
+        setattr(owner, name, replacement(original))
+        try:
+            return solve()
+        finally:
+            setattr(owner, name, original)
+
+    cold = []
+
+    def counting(run):
+        def wrapper(*args):
+            cold.append(args)
+            return run(*args)
+
+        return wrapper
+
+    batch = patched(
+        linprog_module,
+        "_run",
+        counting,
+        lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
+    )
+    singles = [lp_solve(linprog(obj, rows, lower=[0, 0])) for obj in objectives]
+    if batch != singles or len(cold) != 1:
+        raise AssertionError(f"expected one cold solve and one reuse, got {cold}")
+
+    def off_by_one_solution(basic_solution):
+        def wrapper(*args):
+            x_std, value = basic_solution(*args)
+            return x_std, value + 1
+
+        return wrapper
+
+    def off_by_one_value(value):
+        return lambda self, *args: value(self, *args) + 1
+
+    routes = {
+        "cold single": (
+            linprog_module,
+            "_basic_solution",
+            off_by_one_solution,
+            lambda: lp_solve(linprog(objectives[0], rows, lower=[0, 0])),
+        ),
+        "cold batch": (
+            linprog_module,
+            "_basic_solution",
+            off_by_one_solution,
+            lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
+        ),
+        "reused basis": (
+            linprog_module._OptimalBasis,
+            "value",
+            off_by_one_value,
+            lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
+        ),
+    }
+    for route, (owner, name, replacement, solve) in routes.items():
+        try:
+            patched(owner, name, replacement, solve)
+        except InternalInconsistency:
+            continue
+        raise AssertionError(f"{route}: a planted wrong outcome was returned")
+
+
+def test_planted_wrong_outcome_raises_on_every_route():
+    _planted_outcome_routes()
+
+
+def test_planted_wrong_outcome_raises_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pareto_kit
+
+    src = Path(pareto_kit.__file__).resolve().parent.parent
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests), os.environ.get("PYTHONPATH", "")]
+    code = (
+        "import sys, test_numerics\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "test_numerics._planted_outcome_routes()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _random_mixed_lp(rng):
@@ -299,7 +422,16 @@ def test_initial_tableau_entries_for_every_row_kind():
         lower=["1/2", None],
         upper=[3, None],
     )
-    std = linprog_module._standardize(lp)
+    template = linprog_module._template(lp)
+    nums, den = common_denominator(lp.objective)
+    cost_row, offset = linprog_module._cost_row(template, lp.objective, nums)
+    # the program _run pivots on: the template's rows, then both cost rows
+    std = SimpleNamespace(
+        rows=template.rows + [cost_row, template.cost1],
+        dens=template.dens + [den, template.cost1_den],
+        basis=template.basis,
+        offset=offset,
+    )
     # columns: u, v, w, four slacks, three artificials, right-hand side
     h = Fraction(1, 2)
     t = Fraction(1, 3)
