@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, lt
+from operator import le, lt, mul
 
-from .cones import PolyhedralCone, cone_contains, strictly_positive_direction
+from .cones import PolyhedralCone, _cone_precedes, strictly_positive_direction
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -23,8 +23,7 @@ from .errors import (
     NotMember,
     NotNondominated,
 )
-from .numerics import dot
-from .numerics.rational import as_matrix, as_point, scaled_rows
+from .numerics.rational import as_matrix, as_point, common_denominator, scaled_rows
 
 Point = tuple[Fraction, ...]
 
@@ -86,11 +85,16 @@ def _componentwise(scaled: list[tuple[int, ...]], strict: bool):
 
 
 def _cone_order(values: list[Point], ordering: PolyhedralCone, direction: Point):
-    """Scan keys (d . y, y) and test of the cone order, d positive on it."""
-    w = [dot(direction, y) for y in values]
-    return list(zip(w, values)), lambda j, k: w[j] < w[k] and cone_contains(
-        ordering, tuple(a - b for a, b in zip(values[k], values[j]))
-    )
+    """Scan keys (d . y, y) and test of the cone order, d positive on it.
+
+    d . y is taken on d and the values scaled to integers: positive
+    factors keep every comparison of the keys.
+    """
+    scaled = scaled_rows(values)
+    d = common_denominator(direction)[0]
+    w = [sum(map(mul, d, y)) for y in scaled]
+    precedes = _cone_precedes(ordering, scaled)
+    return list(zip(w, values)), lambda j, k: w[j] < w[k] and precedes(j, k)
 
 
 def _dominators(keys: list, below) -> list[int | None]:
@@ -246,10 +250,10 @@ def cone_nondominated_set(points, ordering: PolyhedralCone) -> list[int]:
     """Indices not dominated under the generalized cone order.
 
     A value y is dominated when some distinct value z has y - z in the
-    cone.  The sort-filter scan of ``_dominators`` runs one small LP per
-    tested pair, only against undominated values kept so far and only
-    after the exact prefilter d . z < d . y for the strictly positive
-    direction d of the cone.
+    cone.  The sort-filter scan of ``_dominators`` tests each pair against
+    the cone's inequality description, built once, only against
+    undominated values kept so far and only after the exact prefilter
+    d . z < d . y for the strictly positive direction d of the cone.
     """
     pts = _checked(points)
     if ordering.dim != len(pts[0]):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from ..errors import DimensionMismatch, MalformedNumber, ZeroDenominator
+from ..errors import DimensionMismatch, MalformedInput, MalformedNumber, ZeroDenominator
 
 Rational = Fraction
 
@@ -61,9 +61,17 @@ def as_fraction(value) -> Fraction:
     )
 
 
+def _sequence(values, what: str) -> Iterable:
+    """``values`` itself, unless it is text or not iterable at all: a row
+    given as "12" must not be read as the coordinates 1 and 2."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise MalformedInput(f"{what} must be a list, got {type(values).__name__}")
+    return values
+
+
 def as_point(coords: Iterable) -> tuple[Fraction, ...]:
     """Coerce an iterable of coordinates to an exact tuple."""
-    point = tuple(as_fraction(c) for c in coords)
+    point = tuple(map(as_fraction, _sequence(coords, "a point")))
     if not point:
         raise DimensionMismatch("a point needs at least one coordinate")
     return point
@@ -71,7 +79,7 @@ def as_point(coords: Iterable) -> tuple[Fraction, ...]:
 
 def as_matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     """Coerce rows to exact tuples and require a common dimension."""
-    matrix = tuple(as_point(row) for row in rows)
+    matrix = tuple(as_point(row) for row in _sequence(rows, "a list of points"))
     if matrix:
         width = len(matrix[0])
         for row in matrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import PolyhedralCone, cone_contains, strictly_positive_direction
+from .cones import PolyhedralCone, _cone_precedes, strictly_positive_direction
 from .dominance import (
     _checked,
     _componentwise,
@@ -67,16 +67,9 @@ def find_dominator_cone(points, ordering: PolyhedralCone, y0, direction=None) ->
         if any(dot(d, g) <= 0 for g in ordering.generators):
             raise ValueError("supplied direction is not strictly positive on the cone")
     values, _ = _unique_groups(pts)
-    d_ref = dot(d, ref)
-    feasible = []
-    for y in values:
-        if y == ref:
-            feasible.append(y)
-            continue
-        if dot(d, y) >= d_ref:  # membership of ref - y != 0 forces d.y < d.ref
-            continue
-        if cone_contains(ordering, tuple(a - b for a, b in zip(ref, y))):
-            feasible.append(y)
+    precedes = _cone_precedes(ordering, scaled_rows(values))
+    top = values.index(ref)
+    feasible = [y for k, y in enumerate(values) if precedes(k, top)]
     return min(feasible, key=lambda y: (dot(d, y), y))
 
 
@@ -137,16 +130,14 @@ def verify_certificate(points, certificate: DominatorCertificate) -> bool:
         return False
     if certificate.cone is None:
         frontier = set(nondominated_set(pts))
-        below = lambda a, b: all(x <= y for x, y in zip(a, b))
+        below = lambda j, i: all(x <= y for x, y in zip(pts[j], pts[i]))
     else:
         frontier = set(cone_nondominated_set(pts, certificate.cone))
-        below = lambda a, b: a == b or cone_contains(
-            certificate.cone, tuple(y - x for x, y in zip(a, b))
-        )
+        below = _cone_precedes(certificate.cone, scaled_rows(pts))
     for i, j in assignments.items():
         if j not in frontier:
             return False
-        if not below(pts[j], pts[i]):
+        if not below(j, i):
             return False
         if assignments[j] != j:
             return False

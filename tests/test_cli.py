@@ -49,6 +49,39 @@ def test_stability_with_bad_cone_exits_one(tmp_path, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        # a string row is not a list of coordinates ("12" is not (1, 2))
+        (["hull", "--query", "1,1"], {"generators": ["12", "30"]}),
+        (["hull", "--query", "1,1"], {"generators": 12}),
+        (["poly"], {"A": "12", "b": ["0", "0"]}),
+        (["poly"], {"A": [["0", "-1"]], "b": 0}),
+        (["stability", "--cone"], {"generators": 3}),
+        (["stability", "--cone"], {"generators": [["0", "0"], ["1", "0"]]}),
+    ],
+    ids=[
+        "hull-string-rows",
+        "hull-scalar-generators",
+        "poly-string-A",
+        "poly-scalar-b",
+        "cone-scalar-generators",
+        "cone-zero-generator",
+    ],
+)
+def test_malformed_json_exits_one_without_traceback(tmp_path, capsys, command, data):
+    path = _write(tmp_path, "input.json", json.dumps(data))
+    if command[0] == "stability":
+        argv = ["stability", "--input", _write(tmp_path, "pts.csv", POINTS_CSV), "--cone", path]
+    else:
+        argv = [command[0], "--input", path] + command[1:]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_stability_certificate_output(tmp_path, capsys):
     csv_path = _write(tmp_path, "pts.csv", POINTS_CSV)
     assert main(["stability", "--input", csv_path]) == 0

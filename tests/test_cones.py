@@ -7,6 +7,8 @@ import pytest
 from pareto_kit import (
     cone,
     cone_contains,
+    cone_nondominated_set,
+    find_dominator_cone,
     is_pointed,
     is_proper,
     natural_cone,
@@ -21,7 +23,7 @@ from pareto_kit.errors import (
     NotPointed,
 )
 from pareto_kit.generate import gen_cone
-from pareto_kit.numerics import INFEASIBLE, OPTIMAL, LpOutcome, dot
+from pareto_kit.numerics import EQ, INFEASIBLE, OPTIMAL, LpOutcome, dot, linprog, lp_solve
 
 
 def test_order_relation_equal_points():
@@ -188,8 +190,8 @@ def test_direction_checks_raise_internal_inconsistency(monkeypatch, planted):
     real = cones.lp_solve
 
     def planted_direction_lp(lp):
-        # membership LPs keep the real solver; the direction LP has the
-        # extra slack variable delta
+        # the properness check needs no LP; the direction LP has the extra
+        # slack variable delta
         return planted if len(lp.objective) == c.dim + 1 else real(lp)
 
     monkeypatch.setattr(cones, "lp_solve", planted_direction_lp)
@@ -204,3 +206,186 @@ def test_direction_checks_raise_internal_inconsistency(monkeypatch, planted):
 def test_caches_are_bounded():
     for cached in (is_pointed, is_proper, strictly_positive_direction):
         assert cached.cache_info().maxsize is not None
+
+
+def _lp_member(generators, y) -> bool:
+    """Is y = sum lambda_i g_i for some lambda >= 0?  One exact LP."""
+    m = len(generators)
+    rows = [([g[i] for g in generators], EQ, y[i]) for i in range(len(y))]
+    return lp_solve(linprog([0] * m, rows, lower=[0] * m)).status == OPTIMAL
+
+
+def _lp_has_line(generators) -> bool:
+    """Is 0 a nonnegative combination of the generators with weights
+    summing to 1?  Exactly then the cone holds a line."""
+    m = len(generators)
+    rows = [([g[i] for g in generators], EQ, 0) for i in range(len(generators[0]))]
+    rows.append(([1] * m, EQ, 1))
+    return lp_solve(linprog([0] * m, rows, lower=[0] * m)).status == OPTIMAL
+
+
+def _rank(rows) -> int:
+    """Rank of a list of rational vectors, by exact elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows[rank:] if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1 :]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def _seeded_cones():
+    """Cones of dimension 1 to 6 in four kinds: plain random generators,
+    with a line (a negated generator added), of lower rank (generators
+    mapped in from a smaller space) and with parallel and duplicate
+    generators; then gen_cone(6, 40)."""
+    rng = random.Random(17)
+
+    def vector(p):
+        while True:
+            v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(p))
+            if any(v):
+                return v
+
+    for trial in range(96):
+        p = 1 + trial % 6
+        kind = trial // 6 % 4
+        gens = [vector(p) for _ in range(rng.randint(1, 6))]
+        if kind == 1:
+            gens.append(tuple(-x for x in gens[rng.randrange(len(gens))]))
+        elif kind == 2 and p > 1:
+            basis = [vector(p) for _ in range(rng.randint(1, p - 1))]
+            gens = []
+            while len(gens) < rng.randint(1, 6):
+                w = [rng.randint(-3, 3) for _ in basis]
+                g = tuple(sum(c * b[i] for c, b in zip(w, basis)) for i in range(p))
+                if any(g):
+                    gens.append(g)
+        elif kind == 3:
+            g = gens[0]
+            gens += [tuple(Fraction(rng.randint(1, 5), 2) * x for x in g), g]
+        yield cone(gens)
+    yield gen_cone(6, 40, 0)
+
+
+def _queries(rng, c, count):
+    """Points inside (nonnegative combinations, some on faces), just
+    outside (a combination nudged), the negated generators, and random
+    points."""
+    gens, p = c.generators, c.dim
+    out = [tuple(-x for x in g) for g in gens]
+    while len(out) < count:
+        pick = rng.random()
+        if pick < 0.6:
+            w = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in gens]
+            y = [sum(x * g[i] for x, g in zip(w, gens)) for i in range(p)]
+            if pick < 0.3:
+                y[rng.randrange(p)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 4))
+            out.append(tuple(y))
+        else:
+            out.append(tuple(Fraction(rng.randint(-5, 5)) for _ in range(p)))
+    return out
+
+
+def test_description_matches_lp_membership_pointedness_and_properness():
+    rng = random.Random(23)
+    lines = lower_rank = whole = checked = 0
+    for c in _seeded_cones():
+        gens = c.generators
+        queries = _queries(rng, c, 16 if len(gens) > 10 else 24)
+        for y in queries:
+            assert cone_contains(c, y) == _lp_member(gens, y), (gens, y)
+            checked += 1
+        has_line = _lp_has_line(gens)
+        assert is_pointed(c) == (not has_line), gens
+        units = [
+            tuple(Fraction(sign * (i == j)) for j in range(c.dim))
+            for i in range(c.dim)
+            for sign in (1, -1)
+        ]
+        whole_space = all(_lp_member(gens, u) for u in units)
+        assert is_proper(c) == (not whole_space), gens
+        lines += has_line
+        lower_rank += _rank(gens) < c.dim
+        whole += whole_space
+    # every kind of cone was met
+    assert checked > 2000
+    assert lines >= 20 and lower_rank >= 10 and whole >= 1
+
+
+def _planted_row_routes():
+    """Plant a description row that breaks its check (a facet row negative
+    on a generator, a lineality row not orthogonal to one) and require
+    InternalInconsistency from every route that reads the description.
+
+    Patches by hand and raises instead of asserting, so that it checks
+    the same under ``python -O``.
+    """
+    from pareto_kit import cones
+
+    c = cone([(2, 1), (1, 3)])
+    points = [(0, 0), (1, 1), (3, 4)]
+    routes = [
+        lambda: cone_contains(c, (1, 1)),
+        lambda: is_pointed(c),
+        lambda: is_proper(c),
+        lambda: cone_nondominated_set(points, c),
+        lambda: find_dominator_cone(points, c, (3, 4), (1, 1)),
+    ]
+    real = cones._polar
+    plants = [
+        lambda gens: (real(gens)[0], real(gens)[1] + [(-1, 0)]),
+        lambda gens: (real(gens)[0] + [(1, 0)], real(gens)[1]),
+    ]
+    for plant in plants:
+        cones._polar = plant
+        try:
+            for route in routes:
+                is_pointed.cache_clear()
+                is_proper.cache_clear()
+                try:
+                    route()
+                except InternalInconsistency:
+                    continue
+                raise AssertionError("a planted description row was used")
+        finally:
+            cones._polar = real
+            is_pointed.cache_clear()
+            is_proper.cache_clear()
+
+
+def test_planted_description_row_raises():
+    _planted_row_routes()
+
+
+def test_planted_description_row_raises_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pareto_kit
+
+    src = Path(pareto_kit.__file__).resolve().parent.parent
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests), os.environ.get("PYTHONPATH", "")]
+    code = (
+        "import sys, test_cones\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "test_cones._planted_row_routes()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
