@@ -9,6 +9,7 @@ plot-ready TSV.  Fixed seeds give byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -270,7 +271,12 @@ def _cmd_selftest(args) -> int:
     return 0 if data["ok"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    ``parse_args`` keeps no state between calls and returns a fresh
+    namespace each time.  Not built at import, so that importing the
+    module stays cheap."""
     parser = argparse.ArgumentParser(
         prog="pareto-kit",
         description="Exact dominance-structure analysis for multi-objective optimization.",

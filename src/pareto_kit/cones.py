@@ -25,6 +25,7 @@ from .errors import (
     EmptySet,
     ImproperCone,
     InternalInconsistency,
+    MalformedInput,
     NotPointed,
 )
 from .numerics import GE, OPTIMAL, dot, linprog, lp_solve
@@ -69,7 +70,7 @@ class PolyhedralCone:
             raise EmptySet("a cone needs at least one generator")
         for g in self.generators:
             if all(x == 0 for x in g):
-                raise ValueError("cone generators must be nonzero")
+                raise MalformedInput("cone generators must be nonzero")
 
     @property
     def dim(self) -> int:
@@ -274,11 +275,6 @@ def cone_to_json(c: PolyhedralCone) -> dict:
 
 
 def cone_from_json(data: dict) -> PolyhedralCone:
-    from .errors import MalformedInput
-
     if not isinstance(data, dict) or "generators" not in data:
         raise MalformedInput('cone JSON needs a "generators" key')
-    generators = as_matrix(data["generators"])
-    if any(not any(g) for g in generators):
-        raise MalformedInput("cone generators must be nonzero")
-    return PolyhedralCone(generators)
+    return PolyhedralCone(as_matrix(data["generators"]))

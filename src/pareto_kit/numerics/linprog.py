@@ -13,8 +13,10 @@ constraints scaled to integers once, standardized, plus the phase-1 cost
 row and the bounds) and a list of objectives.  For each objective it
 builds the cost row, reuses the basis kept from the previous optimum
 when that point is provably the unique optimum, and otherwise solves
-cold; every optimal outcome is then re-substituted by ``_check_outcome``
-into the same integer rows before it is returned.
+cold.  Every point is re-substituted by ``_check_outcome`` into the
+same integer rows once, when a cold solve returns it, and only then may
+its basis be kept; a reused point is that same checked tuple, so only
+its new objective value is checked, by ``_check_value``.
 """
 
 from __future__ import annotations
@@ -333,23 +335,31 @@ def active_backend() -> str:
     return "pure"
 
 
+def _check_value(
+    cost: list[int], cost_den: int, xs: list[int], den: int, value: Fraction
+) -> None:
+    """Check ``value`` against the cost of the point ``xs`` / ``den``
+    under the objective ``cost`` / ``cost_den``, between integers."""
+    if sum(map(mul, cost, xs)) * value.denominator != (
+        value.numerator * cost_den * den
+    ):
+        raise InternalInconsistency("objective value mismatch")
+
+
 def _check_outcome(
     template: _Template, cost: list[int], cost_den: int, outcome: LpOutcome
-) -> None:
+) -> tuple[list[int], int]:
     """Re-substitute an optimal outcome into its program, exactly.
 
     ``cost`` over ``cost_den`` is the objective.  The point is scaled by
     the common denominator of its coordinates, so each equation and
     inequality of ``template.checks`` is checked between integers with
-    the same truth value it has over the rationals.
+    the same truth value it has over the rationals.  Returns the scaled
+    point, (numerators, denominator), for later value checks.
     """
     point = outcome.point
     xs, den = common_denominator(point)
-    value = outcome.value
-    if sum(map(mul, cost, xs)) * value.denominator != (
-        value.numerator * cost_den * den
-    ):
-        raise InternalInconsistency("objective value mismatch")
+    _check_value(cost, cost_den, xs, den, outcome.value)
     for coeffs, relation, rhs in template.checks:
         lhs = sum(map(mul, coeffs, xs))
         rhs *= den
@@ -366,6 +376,7 @@ def _check_outcome(
             raise InternalInconsistency("lower bound violated")
         if hi is not None and x > hi:
             raise InternalInconsistency("upper bound violated")
+    return xs, den
 
 
 def _basic_solution(template: _Template, tableau, basis):
@@ -381,15 +392,17 @@ def _basic_solution(template: _Template, tableau, basis):
 class _OptimalBasis:
     """The final basis of an optimal solve, kept to price later objectives.
 
-    Holds the basic solution, as Fractions and as integers over their
-    common denominator, and, for each basic structural variable, its
-    tableau row over the nonbasic real columns, read through the tableau's
+    Holds the basic solution as integers over their common denominator;
+    the original point, which ``_check_outcome`` has already passed, with
+    its scaled form; and, for each basic structural variable, its tableau
+    row over the nonbasic real columns, read through the tableau's
     ``get`` and scaled to integers over one common denominator.
     """
 
-    def __init__(self, template: _Template, tableau, basis, x_std):
-        self.x_std = x_std
+    def __init__(self, template: _Template, tableau, basis, x_std, point, scaled):
         self.x_nums, self.x_den = common_denominator(x_std)
+        self.point = point
+        self.point_nums, self.point_den = scaled
         basic = set(basis)
         self.nonbasic = [j for j in range(template.n_real) if j not in basic]
         structural = [r for r in range(template.nrows) if basis[r] < template.n_std]
@@ -429,8 +442,13 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
     positive, the basic solution is the program's unique optimum, so a
     cold solve would return that same point; it is reused and its value
     recomputed.  Otherwise, ties (a zero reduced cost) included, the
-    objective is solved from the initial basis.  Every optimal outcome,
-    reused or not, passes ``_check_outcome`` before it is returned.
+    objective is solved from the initial basis.
+
+    Every cold optimal outcome passes ``_check_outcome`` (its value, every
+    constraint and every bound) before its basis is kept.  A reused
+    outcome returns that same point tuple against the same rows and
+    bounds, so its feasibility is already checked and only its new value
+    is checked, by ``_check_value``.  Each check keeps its truth value.
     """
     outcomes = []
     kept = None
@@ -438,15 +456,15 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
         nums, den = common_denominator(objective)
         row, offset = _cost_row(template, objective, nums)
         if kept is not None and kept.unique_optimum(row):
-            x_std, value_std = kept.x_std, kept.value(row, den)
-        else:
-            status, tableau, basis = _run(template, row, den)
-            if status != OPTIMAL:
-                outcomes.append(LpOutcome(status))
-                continue
-            x_std, value_std = _basic_solution(template, tableau, basis)
-            if template.n_art == 0 and k + 1 < len(costs):
-                kept = _OptimalBasis(template, tableau, basis, x_std)
+            value = kept.value(row, den) + offset
+            _check_value(nums, den, kept.point_nums, kept.point_den, value)
+            outcomes.append(LpOutcome(OPTIMAL, value, kept.point))
+            continue
+        status, tableau, basis = _run(template, row, den)
+        if status != OPTIMAL:
+            outcomes.append(LpOutcome(status))
+            continue
+        x_std, value_std = _basic_solution(template, tableau, basis)
         point = tuple(
             kind[2] + x_std[kind[1]]
             if kind[0] == "shift"
@@ -454,7 +472,9 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
             for kind in template.var_map
         )
         outcome = LpOutcome(OPTIMAL, value_std + offset, point)
-        _check_outcome(template, nums, den, outcome)
+        scaled = _check_outcome(template, nums, den, outcome)
+        if template.n_art == 0 and k + 1 < len(costs):
+            kept = _OptimalBasis(template, tableau, basis, x_std, point, scaled)
         outcomes.append(outcome)
     return outcomes
 

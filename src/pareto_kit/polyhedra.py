@@ -39,6 +39,7 @@ from .numerics.linprog import lp_solve_batch
 from .numerics.rational import (
     as_matrix,
     as_point,
+    common_denominator,
     rational_format,
     scaled_rows,
 )
@@ -163,23 +164,38 @@ def _section_minima(P: Polyhedron, anchor: Point, weight_list) -> list[LpOutcome
 
     Solved in the substituted variable s = anchor - y >= 0, which keeps
     the tableau small (p nonnegative variables, the original m rows) and
-    lets the whole batch share one standardization.
+    lets the whole batch share one standardization.  The anchor is scaled
+    to integers ``anchor_nums`` / ``anchor_den`` once per batch.  Each row
+    a . y <= rhs becomes -a . s <= rhs - a . anchor, and each minimum
+    lam . y is lam . anchor plus the minimum of -lam . s.  Both offsets
+    are one integer sum over the product of the denominators, so they are
+    the same rationals that ``Fraction`` dot products give, and the
+    values equal those products exactly.  A reused basis returns the same
+    point tuple as the solve before it, so consecutive equal points share
+    one conversion y = anchor - s.
     """
     p = P.dim
-    rows = [
-        ([-a for a in row], LE, rhs - dot(row, anchor))
-        for row, rhs in zip(P.A, P.b)
-    ]
+    anchor_nums, anchor_den = common_denominator(anchor)
+    rows = []
+    for row, rhs in zip(P.A, P.b):
+        (*nums, rhs_num), den = common_denominator((*row, rhs))
+        offset = rhs_num * anchor_den - sum(map(mul, nums, anchor_nums))
+        rows.append(([-a for a in row], LE, Fraction(offset, den * anchor_den)))
     raw = lp_solve_batch(
         [[-w for w in lam] for lam in weight_list], rows, lower=[0] * p
     )
     outcomes = []
+    s = y = None
     for lam, outcome in zip(weight_list, raw):
         if outcome.status != OPTIMAL:
             outcomes.append(outcome)
             continue
-        point = tuple(a - s for a, s in zip(anchor, outcome.point))
-        outcomes.append(LpOutcome(OPTIMAL, dot(lam, anchor) + outcome.value, point))
+        if outcome.point is not s:
+            s = outcome.point
+            y = tuple(a - x for a, x in zip(anchor, s))
+        nums, den = common_denominator(lam)
+        base = Fraction(sum(map(mul, nums, anchor_nums)), den * anchor_den)
+        outcomes.append(LpOutcome(OPTIMAL, base + outcome.value, y))
     return outcomes
 
 

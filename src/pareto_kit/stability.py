@@ -24,7 +24,7 @@ from .dominance import (
     cone_nondominated_set,
     nondominated_set,
 )
-from .errors import DimensionMismatch, NotMember
+from .errors import DimensionMismatch, MalformedInput, NotMember
 from .numerics import dot
 from .numerics.rational import as_point, rational_format, scaled_rows
 
@@ -47,6 +47,17 @@ def find_dominator(points, y0) -> Point:
     return min(feasible, key=lambda y: (sum(y), y))
 
 
+def _direction(ordering: PolyhedralCone, direction) -> Point:
+    """``direction``, or a synthesized one when it is None; a supplied
+    direction must have positive product with every generator."""
+    if direction is None:
+        return strictly_positive_direction(ordering)
+    d = as_point(direction)
+    if any(dot(d, g) <= 0 for g in ordering.generators):
+        raise MalformedInput("supplied direction is not strictly positive on the cone")
+    return d
+
+
 def find_dominator_cone(points, ordering: PolyhedralCone, y0, direction=None) -> Point:
     """Minimizer of d . y over the points cone-below y0.
 
@@ -60,12 +71,7 @@ def find_dominator_cone(points, ordering: PolyhedralCone, y0, direction=None) ->
         raise DimensionMismatch("cone and point dimensions differ")
     if ref not in pts:
         raise NotMember("reference point is not in the set")
-    if direction is None:
-        d = strictly_positive_direction(ordering)
-    else:
-        d = as_point(direction)
-        if any(dot(d, g) <= 0 for g in ordering.generators):
-            raise ValueError("supplied direction is not strictly positive on the cone")
+    d = _direction(ordering, direction)
     values, _ = _unique_groups(pts)
     precedes = _cone_precedes(ordering, scaled_rows(values))
     top = values.index(ref)
@@ -98,12 +104,7 @@ def external_stability_certificate(
     else:
         if ordering.dim != len(pts[0]):
             raise DimensionMismatch("cone and point dimensions differ")
-        if direction is None:
-            direction = strictly_positive_direction(ordering)
-        else:
-            direction = as_point(direction)
-            if any(dot(direction, g) <= 0 for g in ordering.generators):
-                raise ValueError("supplied direction is not strictly positive on the cone")
+        direction = _direction(ordering, direction)
         order = _cone_order(values, ordering, direction)
     found = _dominators(*order)
     target = [0] * len(pts)
@@ -163,7 +164,6 @@ def certificate_to_json(certificate: DominatorCertificate) -> dict:
 
 def certificate_from_json(data: dict) -> DominatorCertificate:
     from .cones import cone_from_json
-    from .errors import MalformedInput
     from .numerics.rational import rational_parse
 
     if not isinstance(data, dict) or "assignments" not in data:

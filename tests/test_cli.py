@@ -177,6 +177,50 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+def _run_each(argvs, capsys):
+    """(exit code, stdout) of each in-process call, in order; a usage
+    error leaves ``main`` as SystemExit."""
+    results = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        results.append((code, capsys.readouterr().out))
+    return results
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    from pareto_kit import cli
+
+    hull_path = _write(
+        tmp_path, "hull.json", json.dumps({"generators": [["0", "3"], ["3", "0"], ["2", "2"]]})
+    )
+    # grid 4 samples (3, 0) and (0, 3): apart under the radius 1/2, joined
+    # under the default radius
+    connect = ["connect", "--input", hull_path, "--grid", "4"]
+    argvs = [
+        ["hull", "--input", hull_path, "--query", "1,1", "--query", "0,3"],
+        ["hull", "--input", hull_path, "--query", "2,2"],
+        connect + ["--epsilon", "1/2"],
+        connect,
+        ["connect", "--input", hull_path, "--grid", "four"],
+        connect,
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    reused = _run_each(argvs, capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_each(argvs, capsys)
+    assert reused == fresh
+    codes = [code for code, _ in reused]
+    assert codes == [0, 0, 0, 0, ("SystemExit", 2), 0]
+    # neither the appended queries nor the radius leak into the next call
+    assert len(json.loads(reused[1][1])["queries"]) == 1
+    assert json.loads(reused[2][1])["component_count"] == 2
+    assert json.loads(reused[3][1])["component_count"] == 1
+    assert reused[3] == reused[5]
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["nondom", "--input", "/nonexistent/file.csv"]) == 1
     assert "error" in capsys.readouterr().err

@@ -178,6 +178,40 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
     assert len(objectives) == 7 and len(cold_solves) == 2
 
 
+def test_grid_batch_checks_each_cold_point_once(monkeypatch):
+    # Every cold optimum passes _check_outcome once; a reused point is the
+    # same tuple, so only its value is checked again.
+    from pareto_kit.generate import gen_poly
+    from pareto_kit.polyhedra import _section_minima, _simplex_grid
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    run, check = linprog_module._run, linprog_module._check_outcome
+    optimal_cold, checked = [], []
+
+    def counting_run(*args):
+        result = run(*args)
+        optimal_cold.append(result[0] == OPTIMAL)
+        return result
+
+    def counting_check(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(linprog_module, "_run", counting_run)
+    monkeypatch.setattr(linprog_module, "_check_outcome", counting_check)
+    solved = 0
+    for p in (2, 3):
+        for seed in range(4):
+            P, _, anchor = gen_poly(p, 4, 60 + seed, "box")
+            weights = _simplex_grid(p, 8)
+            del optimal_cold[:], checked[:]
+            outcomes = _section_minima(P, anchor, weights)
+            assert all(o.status == OPTIMAL for o in outcomes)
+            assert len(checked) == sum(optimal_cold) < len(weights)
+            solved += len(weights)
+    assert solved > 100
+
+
 def test_optimal_point_satisfies_constraints_exactly():
     rng = random.Random(11)
     for _ in range(80):
@@ -227,7 +261,9 @@ def test_batch_objective_of_wrong_length_is_rejected():
 def _planted_outcome_routes():
     """Plant a wrong optimal value on each route through the LP driver (a
     cold single solve, a cold batch solve, and a point reused from a kept
-    basis) and require InternalInconsistency on each.
+    basis) and require InternalInconsistency on each.  Then plant an
+    infeasible point of the right value on a cold batch solve: it must be
+    caught before its basis is kept, so before any objective reuses it.
 
     Patches by hand and raises instead of asserting, so that it checks
     the same under ``python -O``.
@@ -303,6 +339,41 @@ def _planted_outcome_routes():
         except InternalInconsistency:
             continue
         raise AssertionError(f"{route}: a planted wrong outcome was returned")
+
+    def off_the_constraints(basic_solution):
+        # (0, 4) becomes (2, 3), outside x1 + x2 <= 4.  The shift (2, -1)
+        # is orthogonal to the first objective (-1, -2), so the value
+        # still matches: only the feasibility check can catch it.
+        def wrapper(*args):
+            x_std, value = basic_solution(*args)
+            return [x_std[0] + 2, x_std[1] - 1], value
+
+        return wrapper
+
+    kept = []
+
+    def recording(basis_class):
+        def wrapper(*args):
+            kept.append(args)
+            return basis_class(*args)
+
+        return wrapper
+
+    def infeasible_cold_batch():
+        return patched(
+            linprog_module,
+            "_basic_solution",
+            off_the_constraints,
+            lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
+        )
+
+    try:
+        patched(linprog_module, "_OptimalBasis", recording, infeasible_cold_batch)
+    except InternalInconsistency:
+        if kept:
+            raise AssertionError("an unchecked point's basis was kept") from None
+    else:
+        raise AssertionError("cold batch: a planted infeasible point was returned")
 
 
 def test_planted_wrong_outcome_raises_on_every_route():

@@ -21,7 +21,7 @@ from pareto_kit.errors import (
     NotMember,
 )
 from pareto_kit.generate import POLY_FAMILIES, gen_poly
-from pareto_kit.numerics import UNBOUNDED, LpOutcome
+from pareto_kit.numerics import LE, OPTIMAL, UNBOUNDED, LpOutcome, linprog, lp_solve
 from pareto_kit.polyhedra import polyhedron_from_json, polyhedron_to_json
 
 from oracles import oracle_polytope_vertices
@@ -229,6 +229,39 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
     monkeypatch.setattr(polyhedra, "_section_minima", planted_minima)
     with pytest.raises(InternalInconsistency):
         frontier_sample_connected(DIAGONAL, 8)
+
+
+def test_section_minima_match_per_weight_solves_in_y():
+    # The same minima as single LPs in y itself: min lam . y over
+    # A y <= b and y <= anchor, y free, with no substitution s = anchor - y.
+    from pareto_kit.polyhedra import _section_minima, _simplex_grid
+
+    optimal = 0
+    for family in POLY_FAMILIES:
+        for p in (2, 3, 4):
+            for seed in range(3):
+                P, _, anchor = gen_poly(p, 3 + seed, 500 + seed, family)
+                rows = [(list(a), LE, b) for a, b in zip(P.A, P.b)]
+                rows += [
+                    ([int(i == j) for i in range(p)], LE, anchor[j]) for j in range(p)
+                ]
+                weights = _simplex_grid(p, p + 3)
+                for lam, outcome in zip(weights, _section_minima(P, anchor, weights)):
+                    expected = lp_solve(linprog(lam, rows))
+                    assert outcome.status == expected.status
+                    if outcome.status != OPTIMAL:
+                        continue
+                    optimal += 1
+                    point = outcome.point
+                    assert outcome.value == expected.value
+                    assert outcome.value == sum(w * y for w, y in zip(lam, point))
+                    if point != expected.point:
+                        # only a tie may differ: a second feasible point of
+                        # the same optimal value, which the other
+                        # formulation's pivots may reach first
+                        assert P.contains(point)
+                        assert all(y <= a for y, a in zip(point, anchor))
+    assert optimal > 300
 
 
 def test_caches_are_bounded():

@@ -15,7 +15,7 @@ from pareto_kit import (
     verify_certificate,
 )
 from pareto_kit.cones import cone_contains, strictly_positive_direction
-from pareto_kit.errors import DimensionMismatch, NotMember, NotPointed
+from pareto_kit.errors import DimensionMismatch, MalformedInput, NotMember, NotPointed
 from pareto_kit.generate import gen_cone, gen_finite
 from pareto_kit.numerics import dot
 from pareto_kit.stability import certificate_from_json, certificate_to_json
@@ -177,7 +177,7 @@ def test_cone_certificate_error_paths():
         external_stability_certificate(
             points, cone([(1, 0, 0), (0, 1, 0)]), (1, 1, 1)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         external_stability_certificate(points, pointed, (0, 1))
     with pytest.raises(NotPointed):
         external_stability_certificate(points, cone([(1, 0), (-1, 0), (0, 1)]))
@@ -187,10 +187,17 @@ def test_supplied_direction_on_line_cone_is_rejected():
     # no direction is positive on every generator of a cone with a line
     points = [(0, 0), (1, 2)]
     line = cone([(1, 0), (-1, 0), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         find_dominator_cone(points, line, (1, 2), (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         external_stability_certificate(points, line, (1, 1))
+
+
+def test_zero_generator_is_malformed_input():
+    with pytest.raises(MalformedInput):
+        cone([(0, 0)])
+    with pytest.raises(MalformedInput):
+        cone([(1, 0), (0, 0)])
 
 
 def test_supplied_direction_on_lower_rank_pointed_cone():
