@@ -19,17 +19,17 @@ from .dominance import PointSet, properly_nondominated_set
 from .errors import InternalInconsistency, MalformedInput, ParetoKitError
 from .generate import POLY_FAMILIES, gen_finite, gen_hull, gen_poly
 from .hulls import (
+    _nondominated,
+    _properly_nondominated,
+    _weakly_nondominated,
     hull_contains,
-    hull_is_nondominated,
-    hull_is_properly_nondominated,
-    hull_is_weakly_nondominated,
 )
 from .numerics import active_backend, rational_format, rational_parse
 from .polyhedra import (
+    _redundancy,
     frontier_sample_connected,
     polyhedron_from_json,
     polyhedron_to_json,
-    redundancy_demonstration,
     theorem_full_report,
 )
 from .reducibility import (
@@ -163,9 +163,9 @@ def _cmd_hull(args) -> int:
             "weight_witness": None,
         }
         if inside:
-            entry["weakly_nondominated"] = hull_is_weakly_nondominated(hull_set, q)
-            entry["nondominated"] = hull_is_nondominated(hull_set, q)
-            proper = hull_is_properly_nondominated(hull_set, q)
+            entry["weakly_nondominated"] = _weakly_nondominated(hull_set, q)
+            entry["nondominated"] = _nondominated(hull_set, q)
+            proper = _properly_nondominated(hull_set, q)
             entry["properly_nondominated"] = proper.verdict
             if proper.witness is not None:
                 entry["weight_witness"] = kio.format_point(proper.witness)
@@ -193,7 +193,7 @@ def _cmd_poly(args) -> int:
     P = polyhedron_from_json(kio.load_json(_read(args.input)))
     samples = _load_points(args.samples) if args.samples else []
     report = theorem_full_report(P, samples)
-    redundancy = redundancy_demonstration(P, samples)
+    redundancy = _redundancy(report, len(samples))
     data = {
         "equivalence": _report_json(report),
         "redundancy": {

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ..errors import DimensionMismatch, InternalInconsistency
+from ..errors import DimensionMismatch, InternalInconsistency, MalformedInput
 from . import _simplex_py
 from .rational import as_fraction, common_denominator
 
@@ -64,7 +64,7 @@ class LinearProgram:
                     f"constraint has {len(con.coeffs)} coefficients, expected {n}"
                 )
             if con.relation not in _RELATIONS:
-                raise ValueError(f"unknown relation {con.relation!r}")
+                raise MalformedInput(f"unknown relation {con.relation!r}")
         for bounds in (self.lower, self.upper):
             if bounds is not None and len(bounds) != n:
                 raise DimensionMismatch("bounds length does not match variable count")

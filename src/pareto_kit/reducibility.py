@@ -32,16 +32,10 @@ from .errors import (
     InternalInconsistency,
     MalformedInput,
     NegativeWeight,
-    NotInHull,
     TooManyObjectives,
     ZeroWeights,
 )
-from .hulls import (
-    HullSet,
-    _properly_nondominated,
-    _weakly_nondominated,
-    hull_contains,
-)
+from .hulls import HullSet, _gate, _properly_nondominated, _weakly_nondominated
 from .numerics.rational import as_matrix, as_point, dot, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
@@ -76,8 +70,17 @@ def mop_instance(labels, objectives) -> MopInstance:
     return MopInstance(tuple(labels), as_matrix(objectives))
 
 
+def _index(i) -> int:
+    try:
+        if int(i) == i:
+            return int(i)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise MalformedInput(f"selector index {i!r} is not an integer")
+
+
 def _selector(inst: MopInstance, rho) -> Selector:
-    sel = tuple(sorted(set(int(i) for i in rho)))
+    sel = tuple(sorted(set(map(_index, rho))))
     if not sel:
         raise EmptySelector("objective subset must be nonempty")
     if sel[0] < 1 or sel[-1] > inst.p:
@@ -224,9 +227,7 @@ def hull_reducibility_check(
     selectors = all_selectors(w.dim)
 
     def check_one(query) -> HullReducibilityRecord:
-        point = as_point(query)
-        if not hull_contains(w, point):
-            raise NotInHull(f"query point {point} is outside the hull")
+        point = _gate(w, query)
         lhs = _weakly_nondominated(w, point)
         rhs = False
         witness: Selector | None = None

@@ -132,6 +132,102 @@ def test_poly_report(tmp_path, capsys):
     assert data["redundancy"]["passed"] is True
 
 
+# y1 + 2 y2 >= 2, y1 <= 4, y2 <= 4: a nonempty frontier
+NONEMPTY_POLY = {"A": [["-1", "-2"], ["1", "0"], ["0", "1"]], "b": ["-2", "4", "4"]}
+TWO_SAMPLES = "y1,y2\n3,3\n4,1\n"
+
+
+@pytest.mark.parametrize(
+    "samples, witness, checked",
+    [(TWO_SAMPLES, ["-4", "3"], 2), (None, ["2", "0"], 1)],
+    ids=["two-samples", "no-samples"],
+)
+def test_poly_report_nonempty_frontier(tmp_path, capsys, samples, witness, checked):
+    argv = ["poly", "--input", _write(tmp_path, "poly.json", json.dumps(NONEMPTY_POLY))]
+    if samples is not None:
+        argv += ["--samples", _write(tmp_path, "samples.csv", samples)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "equivalence": {
+            "y_n_nonempty": True,
+            "witness": witness,
+            "negative_direction": None,
+            "sections_bounded": True,
+            "cone_compact": True,
+            "cone_semicompact": True,
+            "externally_stable": True,
+            "justification": {
+                "y_n_nonempty": "recession direction and certified witness",
+                "sections_bounded": "recession direction at every sample",
+                "cone_compact": "equivalent to bounded sections",
+                "cone_semicompact": "implied by cone compactness",
+                "externally_stable": "implied by cone semicompactness",
+            },
+        },
+        "redundancy": {
+            "applicable": True,
+            "witness": witness,
+            "sections_checked": checked,
+            "sections_bounded": True,
+            "passed": True,
+        },
+    }
+
+
+def _count_section_batches(monkeypatch):
+    """Record the number of weights in each section-LP batch."""
+    from pareto_kit import polyhedra
+
+    batches = []
+    real = polyhedra._section_minima
+
+    def counted(P, anchor, weight_list):
+        batches.append(len(weight_list))
+        return real(P, anchor, weight_list)
+
+    monkeypatch.setattr(polyhedra, "_section_minima", counted)
+    return batches
+
+
+def test_poly_runs_two_section_batches(tmp_path, capsys, monkeypatch):
+    # the witness LP and its certificate; nothing is solved twice
+    path = _write(tmp_path, "poly.json", json.dumps(NONEMPTY_POLY))
+    samples = _write(tmp_path, "samples.csv", TWO_SAMPLES)
+    batches = _count_section_batches(monkeypatch)
+    assert main(["poly", "--input", path, "--samples", samples]) == 0
+    assert batches == [1, 1]
+
+
+def test_connect_polyhedron_runs_only_the_grid(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "poly.json", json.dumps(NONEMPTY_POLY))
+    batches = _count_section_batches(monkeypatch)
+    assert main(["connect", "--input", path, "--grid", "8"]) == 0
+    assert batches == [7]
+
+
+def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch):
+    from pareto_kit import cli, hulls
+
+    calls = []
+    real = hulls.hull_contains
+
+    def counted(w, y0):
+        calls.append(y0)
+        return real(w, y0)
+
+    monkeypatch.setattr(hulls, "hull_contains", counted)
+    monkeypatch.setattr(cli, "hull_contains", counted)
+    hull_path = _write(
+        tmp_path, "hull.json", json.dumps({"generators": [["1", "0"], ["0", "1"]]})
+    )
+    argv = ["hull", "--input", hull_path, "--query", "1/2,1/2", "--query", "0,0"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [q["in_hull"] for q in data["queries"]] == [True, False]
+    assert data["queries"][0]["properly_nondominated"]
+    assert len(calls) == 2
+
+
 def test_connect_writes_tsv(tmp_path, capsys):
     hull_path = _write(
         tmp_path, "hull.json", json.dumps({"generators": [["1", "0"], ["0", "1"]]})

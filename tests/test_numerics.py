@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pareto_kit.errors import (
     DimensionMismatch,
     InternalInconsistency,
+    MalformedInput,
     MalformedNumber,
     ZeroDenominator,
 )
@@ -97,6 +98,11 @@ def test_lp_equality_and_bounds():
 def test_lp_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         linprog([1, 2], [([1], LE, 0)])
+
+
+def test_lp_unknown_relation_is_malformed_input():
+    with pytest.raises(MalformedInput):
+        linprog([1], [([1], "<", 0)])
 
 
 def test_lp_deterministic():

@@ -105,6 +105,10 @@ def test_redundancy_reports():
     vacuous = redundancy_demonstration(HALFPLANE)
     assert vacuous.passed and not vacuous.applicable
     assert redundancy_demonstration(BOX).passed
+    # a one-shot iterator of samples counts the same as the list
+    samples = [(1, 1), (2, 2)]
+    assert redundancy_demonstration(DIAGONAL, samples).sections_checked == 2
+    assert redundancy_demonstration(DIAGONAL, iter(samples)).sections_checked == 2
 
 
 def test_fuzz_equivalence_and_tags():
@@ -217,7 +221,8 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
         return LpOutcome(UNBOUNDED) if lp.lower is not None else real_solve(lp)
 
     def planted_minima(P, anchor, weight_list):
-        # the report's single-weight section LPs stay real; the grid fails
+        # a single-weight batch stays real; the grid fails (connect
+        # itself solves no single-weight section LP)
         outcomes = real_minima(P, anchor, weight_list)
         if len(weight_list) == 1:
             return outcomes

@@ -15,6 +15,7 @@ from pareto_kit import (
 )
 from pareto_kit.errors import (
     EmptySelector,
+    MalformedInput,
     NegativeWeight,
     TooManyObjectives,
     ZeroWeights,
@@ -57,6 +58,17 @@ def test_properly_efficient_bounds():
 def test_empty_selector_rejected():
     with pytest.raises(EmptySelector):
         efficient_solutions(TRIANGLE, ())
+
+
+@pytest.mark.parametrize("rho", [[1.5], ["x"], [1, "2"], [float("inf")]])
+def test_non_integer_selector_is_malformed_input(rho):
+    # 1.5 would otherwise truncate to objective 1
+    with pytest.raises(MalformedInput):
+        efficient_solutions(TRIANGLE, rho)
+
+
+def test_integral_selector_values_are_accepted():
+    assert efficient_solutions(TRIANGLE, [Fraction(1), 2.0]) == ["x1", "x2"]
 
 
 def test_reducibility_report_counterexample():
