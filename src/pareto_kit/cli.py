@@ -21,7 +21,7 @@ from .generate import POLY_FAMILIES, gen_finite, gen_hull, gen_poly
 from .hulls import (
     _nondominated,
     _properly_nondominated,
-    _weakly_nondominated,
+    _strict_dominator,
     hull_contains,
 )
 from .numerics import active_backend, rational_format, rational_parse
@@ -162,8 +162,14 @@ def _cmd_hull(args) -> int:
             "properly_nondominated": None,
             "weight_witness": None,
         }
-        if inside:
-            entry["weakly_nondominated"] = _weakly_nondominated(hull_set, q)
+        if inside and _strict_dominator(hull_set, q) is not None:
+            # a checked strict dominator makes y0 neither nondominated nor
+            # properly nondominated, so neither LP is solved
+            entry.update(
+                weakly_nondominated=False, nondominated=False, properly_nondominated=False
+            )
+        elif inside:
+            entry["weakly_nondominated"] = True
             entry["nondominated"] = _nondominated(hull_set, q)
             proper = _properly_nondominated(hull_set, q)
             entry["properly_nondominated"] = proper.verdict

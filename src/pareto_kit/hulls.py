@@ -5,7 +5,12 @@ decided by one exact LP:
 
 * weak nondominance: maximize the common slack delta of a hull point
   sitting at least delta below the query in every coordinate; the query is
-  weakly nondominated iff the optimum is <= 0,
+  weakly nondominated iff the optimum is <= 0.  A positive optimum also
+  yields a strict dominator z = sum mu_i w_i, which is checked in integers
+  (mu >= 0, sum mu = 1, z_j < y0_j for every j) before it is returned: its
+  projection onto any objective subset strictly dominates the projected
+  query, so a dominated query is neither nondominated nor properly
+  nondominated in any subproblem,
 * nondominance: minimize the coordinate sum over hull points below the
   query; the query is nondominated iff the optimum equals its own sum,
 * proper nondominance: feasibility of weights lambda >= 1 with
@@ -21,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptySet, InternalInconsistency, NotInHull
 from .numerics import EQ, GE, LE, OPTIMAL, linprog, lp_solve
-from .numerics.rational import as_matrix, as_point
+from .numerics.rational import as_matrix, as_point, common_denominator
 
 Point = tuple[Fraction, ...]
 
@@ -68,7 +73,26 @@ def _gate(w: HullSet, y0) -> Point:
     return point
 
 
-def _weakly_nondominated(w: HullSet, point: Point) -> bool:
+def _checked_dominator(w: HullSet, point: Point, mu) -> Point:
+    """z = sum mu_i w_i, after checking in integers that mu is a convex
+    weight vector and that z lies strictly below ``point`` everywhere."""
+    mu_nums, mu_den = common_denominator(mu)
+    if min(mu_nums) < 0 or sum(mu_nums) != mu_den:
+        raise InternalInconsistency("dominator weights are not convex")
+    p = w.dim
+    nums, den = common_denominator([x for g in w.generators for x in g] + list(point))
+    rows = [nums[k : k + p] for k in range(0, len(nums), p)]
+    target = rows.pop()
+    # mu_den * den * z_j, over integers
+    scaled = [sum(a * row[j] for a, row in zip(mu_nums, rows)) for j in range(p)]
+    if any(z >= mu_den * y for z, y in zip(scaled, target)):
+        raise InternalInconsistency("dominator is not strictly below the query")
+    return tuple(Fraction(z, mu_den * den) for z in scaled)
+
+
+def _strict_dominator(w: HullSet, point: Point) -> Point | None:
+    """A checked hull point strictly below ``point`` in every coordinate,
+    or None when ``point`` is weakly nondominated."""
     m, p = len(w.generators), w.dim
     # variables: convex weights mu_1..mu_m, then the free slack delta
     rows = [([1] * m + [0], EQ, 1)]
@@ -78,12 +102,13 @@ def _weakly_nondominated(w: HullSet, point: Point) -> bool:
     outcome = lp_solve(lp)
     if outcome.status != OPTIMAL:  # hull is compact, delta is capped
         raise InternalInconsistency("weak-nondominance LP is not optimal")
-    delta = outcome.point[-1]
-    return delta <= 0
+    if outcome.point[-1] <= 0:
+        return None
+    return _checked_dominator(w, point, outcome.point[:-1])
 
 
 def hull_is_weakly_nondominated(w: HullSet, y0) -> bool:
-    return _weakly_nondominated(w, _gate(w, y0))
+    return _strict_dominator(w, _gate(w, y0)) is None
 
 
 def _nondominated(w: HullSet, point: Point) -> bool:

@@ -35,7 +35,7 @@ from .errors import (
     TooManyObjectives,
     ZeroWeights,
 )
-from .hulls import HullSet, _gate, _properly_nondominated, _weakly_nondominated
+from .hulls import HullSet, _gate, _properly_nondominated, _strict_dominator
 from .numerics.rational import as_matrix, as_point, dot, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
@@ -217,8 +217,14 @@ def hull_reducibility_check(
 
     lhs: the query is weakly nondominated in conv(W).  rhs: some nonempty
     objective subset projects the query onto a properly nondominated point
-    of the projected hull.  On hull instances the two are equivalent, so a
-    mismatch means the solver itself failed and the run aborts.
+    of the projected hull.  On hull instances the two are equivalent.  For
+    a dominated query (lhs False) rhs follows from the weak LP's strict
+    dominator z, checked in integers: every projection of z lies in the
+    projected hull and strictly dominates the projected query, so no
+    subproblem is solved and the record has no witness.  A weakly
+    nondominated query solves its subproblems in selector order and
+    reports the first selector that works; if none does, the solver
+    itself failed and the run aborts.
     """
     if w.dim > max_objectives:
         raise TooManyObjectives(
@@ -228,23 +234,18 @@ def hull_reducibility_check(
 
     def check_one(query) -> HullReducibilityRecord:
         point = _gate(w, query)
-        lhs = _weakly_nondominated(w, point)
-        rhs = False
-        witness: Selector | None = None
+        if _strict_dominator(w, point) is not None:
+            return HullReducibilityRecord(point, False, False, None)
         for sel in selectors:
             # projections of hull members stay in the projected hull, so
             # the membership gate can be skipped here
             sub_hull = HullSet(tuple(_project(w.generators, sel)))
             sub_query = tuple(point[i - 1] for i in sel)
             if _properly_nondominated(sub_hull, sub_query).verdict:
-                rhs = True
-                witness = sel
-                break
-        if lhs != rhs:
-            raise InternalInconsistency(
-                f"weak/proper reducibility mismatch at {point}: lhs={lhs} rhs={rhs}"
-            )
-        return HullReducibilityRecord(point, lhs, rhs, witness)
+                return HullReducibilityRecord(point, True, True, sel)
+        raise InternalInconsistency(
+            f"weak/proper reducibility mismatch at {point}: lhs=True rhs=False"
+        )
 
     return [check_one(query) for query in queries]
 

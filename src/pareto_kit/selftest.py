@@ -274,6 +274,8 @@ def _suite_hulls(seed: int, scale: float) -> SuiteResult:
             nd = hull_is_nondominated(w, q)
             weak = hull_is_weakly_nondominated(w, q)
             check((not proper or nd) and (not nd or weak), "hull chain")
+            # Isermann 1974: a polytope's nondominated points are proper
+            check(nd == proper, "nondominated hull points are properly nondominated")
             shift = _rand_point(rng, p, 4)
             moved = HullSet(
                 tuple(tuple(a + s for a, s in zip(g, shift)) for g in w.generators)

@@ -344,3 +344,30 @@ def test_connectivity_tsv_shape():
     report = frontier_sample_connected(hull([(1, 0), (0, 1)]), 4)
     text = connectivity_tsv(report)
     assert text.splitlines()[0] == "y1\ty2\tcomponent"
+
+
+def test_dominated_hull_query_solves_two_lps(tmp_path, capsys, monkeypatch):
+    # membership and the weak LP; its checked dominator settles the
+    # nondominance and proper-nondominance verdicts without their LPs
+    from pareto_kit import hulls
+
+    calls = []
+    real = hulls.lp_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(hulls, "lp_solve", counted)
+    hull_path = _write(
+        tmp_path,
+        "hull.json",
+        json.dumps({"generators": [["1", "0"], ["0", "1"], ["1", "1"]]}),
+    )
+    assert main(["hull", "--input", hull_path, "--query", "1,1"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["queries"]
+    assert entry["in_hull"] and not entry["weakly_nondominated"]
+    assert entry["nondominated"] is False
+    assert entry["properly_nondominated"] is False
+    assert entry["weight_witness"] is None
+    assert len(calls) == 2

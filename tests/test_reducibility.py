@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pareto_kit import hulls
 from pareto_kit import (
     efficient_solutions,
     hull,
@@ -215,6 +216,53 @@ def test_hull_reducibility_equality_fuzz():
         for r in records:
             if r.rhs:
                 assert r.witness is not None
+
+
+def test_hull_reducibility_subset_route_as_oracle():
+    # every selector's subproblem solved, as an oracle: a query whose weak
+    # LP finds a strict dominator is properly nondominated in no
+    # projection, and a weakly nondominated query's witness is the first
+    # selector whose subproblem makes it properly nondominated
+    rng = random.Random(73)
+    dominated = 0
+    for trial in range(12):
+        p = rng.randint(2, 4)
+        w = gen_hull(p, rng.randint(1, 8), trial + 80)
+        queries = gen_hull_queries(w, 5, trial + 90)
+        records = hull_reducibility_check(w, queries)
+        for q, r in zip(queries, records):
+            proper = [
+                hulls._properly_nondominated(
+                    hull([tuple(g[i - 1] for i in sel) for g in w.generators]),
+                    tuple(q[i - 1] for i in sel),
+                ).verdict
+                for sel in all_selectors(p)
+            ]
+            if hulls._strict_dominator(w, q) is not None:
+                dominated += 1
+                assert not any(proper)
+                assert (r.lhs, r.rhs, r.witness) == (False, False, None)
+            else:
+                assert (r.lhs, r.rhs) == (True, True)
+                assert r.witness == all_selectors(p)[proper.index(True)]
+    assert dominated > 10
+
+
+def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
+    # p = 4: one membership LP and one weak LP, where solving every
+    # selector's subproblem would take 2 + 15
+    calls = []
+    real = hulls.lp_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(hulls, "lp_solve", counted)
+    w = hull([(0, 0, 0, 0), (2, 2, 2, 2)])
+    (record,) = hull_reducibility_check(w, [(1, 1, 1, 1)])
+    assert (record.lhs, record.rhs, record.witness) == (False, False, None)
+    assert len(calls) == 2
 
 
 def test_instance_json_round_trip():
