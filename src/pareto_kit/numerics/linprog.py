@@ -17,6 +17,10 @@ cold.  Every point is re-substituted by ``_check_outcome`` into the
 same integer rows once, when a cold solve returns it, and only then may
 its basis be kept; a reused point is that same checked tuple, so only
 its new objective value is checked, by ``_check_value``.
+
+Bounds are standardized only here: a variable is shifted, reflected or
+split (see ``_template``), and every point is read back and checked in
+the caller's own variables.
 """
 
 from __future__ import annotations
@@ -106,7 +110,9 @@ class _Template:
     The constraint rows, initial basis, and phase-1 cost row depend only
     on the rows and bounds, so every objective of a batch shares one
     template.  ``rows`` are in the tableau's form: Python ints over one
-    positive row denominator (``dens``), in lowest terms.  ``checks``
+    positive row denominator (``dens``), in lowest terms.  ``var_map``
+    holds (kind, column, base) per variable, and ``base_nums`` over
+    ``base_den`` the bases scaled to integers once.  ``checks``
     holds each original constraint a . x (rel) rhs scaled to integers by
     the least common denominator of its coefficients and right-hand side,
     and ``lower`` and ``upper`` hold one bound (or None) per variable;
@@ -123,6 +129,8 @@ class _Template:
     n_art: int
     basis: list[int]
     var_map: list[tuple]
+    base_nums: list[int]
+    base_den: int
     checks: list[tuple[list[int], str, int]]
     lower: tuple[Fraction | None, ...]
     upper: tuple[Fraction | None, ...]
@@ -136,15 +144,32 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     return nums, den
 
 
+def _columns(var_map: list[tuple], nums: list[int], width: int) -> list[int]:
+    """The coefficients ``nums`` of the original variables as a row of
+    ``width`` standardized columns: negated on a reflected variable's
+    column, and on a split variable's second column."""
+    out = [0] * width
+    for a, (kind, col, _) in zip(nums, var_map):
+        if a:
+            out[col] = -a if kind == "reflect" else a
+            if kind == "split":
+                out[col + 1] = -a
+    return out
+
+
 def _template(lp: LinearProgram) -> _Template:
     """Rewrite the constraint system as Ax = b, x >= 0, b >= 0.
 
-    Lower-bounded variables are shifted; unbounded ones are split into a
-    positive and a negative part.  Upper bounds become extra rows.  Rows
-    whose own slack survives with coefficient +1 start basic; every other
-    row receives an artificial variable for phase 1.  Each constraint is
-    scaled to integers once; its standardized row is built from those
-    integers over its own denominator.
+    A variable with a lower bound l is shifted, x = l + s, and an upper
+    bound u as well becomes the row s <= u - l.  One with only an upper
+    bound u is reflected, x = u - s: its column is negated, with no row.
+    A free one is split, x = s - t, into columns ``col`` and ``col + 1``
+    (base None).  A row a . x (rel) rhs then has right-hand side
+    rhs - a . base, the base being l or u.  Rows whose own slack
+    survives with coefficient +1 start basic; every other row receives
+    an artificial variable for phase 1.  Each constraint is scaled to
+    integers once; its standardized row is built from those integers
+    over its own denominator.
     """
     n = len(lp.objective)
     lower = lp.lower if lp.lower is not None else (None,) * n
@@ -152,35 +177,32 @@ def _template(lp: LinearProgram) -> _Template:
 
     var_map: list[tuple] = []
     n_std = 0
-    for j in range(n):
-        if lower[j] is not None:
-            var_map.append(("shift", n_std, lower[j]))
+    for lo, hi in zip(lower, upper):
+        if lo is not None:
+            var_map.append(("shift", n_std, lo))
+            n_std += 1
+        elif hi is not None:
+            var_map.append(("reflect", n_std, hi))
             n_std += 1
         else:
-            var_map.append(("split", n_std, n_std + 1))
+            var_map.append(("split", n_std, None))
             n_std += 2
+    base_nums, base_den = common_denominator(
+        _ZERO if base is None else base for _, _, base in var_map
+    )
 
     def to_std(nums, rhs_num, den):
-        """Standardized coefficients and right-hand side rhs - a . lower of
-        the row ``nums`` . x (rel) ``rhs_num``, both over ``den``, as
+        """Standardized coefficients and right-hand side rhs - a . base
+        of the row ``nums`` . x (rel) ``rhs_num``, both over ``den``, as
         integer numerators over one positive denominator."""
-        out = [0] * n_std
-        shifts = []
-        for a, kind in zip(nums, var_map):
-            if a == 0:
-                continue
-            out[kind[1]] = a
-            if kind[0] == "split":
-                out[kind[2]] = -a
-            elif kind[2]:
-                shifts.append((a, kind[2]))
-        if not shifts:
+        out = _columns(var_map, nums, n_std)
+        moved = sum(map(mul, nums, base_nums))
+        if not moved:
             return out, rhs_num, den
-        scale = lcm(*(bound.denominator for _, bound in shifts))
-        rhs_num = rhs_num * scale - sum(
-            a * bound.numerator * (scale // bound.denominator) for a, bound in shifts
+        nums, den = _lowest(
+            [x * base_den for x in out] + [rhs_num * base_den - moved],
+            den * base_den,
         )
-        nums, den = _lowest([x * scale for x in out] + [rhs_num], den * scale)
         return nums[:-1], nums[-1], den
 
     checks: list[tuple[list[int], str, int]] = []
@@ -191,7 +213,7 @@ def _template(lp: LinearProgram) -> _Template:
         checks.append((coeffs, con.relation, rhs))
         raw_rows.append((con.relation, *to_std(coeffs, rhs, den)))
     for j in range(n):
-        if upper[j] is not None:
+        if lower[j] is not None and upper[j] is not None:
             den = upper[j].denominator
             unit = [0] * n
             unit[j] = den
@@ -256,27 +278,21 @@ def _template(lp: LinearProgram) -> _Template:
         n_art=n_art,
         basis=basis,
         var_map=var_map,
+        base_nums=base_nums,
+        base_den=base_den,
         checks=checks,
         lower=lower,
         upper=upper,
     )
 
 
-def _cost_row(template: _Template, objective, nums: list[int]):
-    """The standardized phase-2 cost row of ``objective``, whose integer
-    numerators over its common denominator are ``nums``, and the constant
-    objective . lower that the shifted variables drop."""
-    row = [0] * (template.n_real + template.n_art + 1)
-    offset = _ZERO
-    for c, cj, kind in zip(nums, objective, template.var_map):
-        if c == 0:
-            continue
-        row[kind[1]] = c
-        if kind[0] == "split":
-            row[kind[2]] = -c
-        elif kind[2]:
-            offset += cj * kind[2]
-    return row, offset
+def _cost_row(template: _Template, nums: list[int], den: int):
+    """The standardized phase-2 cost row of the objective ``nums`` / ``den``
+    and the constant objective . base that the shifted and reflected
+    variables drop, from one integer sum over the scaled bases."""
+    row = _columns(template.var_map, nums, template.n_real + template.n_art + 1)
+    offset = sum(map(mul, nums, template.base_nums))
+    return row, Fraction(offset, den * template.base_den) if offset else _ZERO
 
 
 def _run(template: _Template, cost_row: list[int], cost_den: int):
@@ -454,7 +470,7 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
     kept = None
     for k, objective in enumerate(costs):
         nums, den = common_denominator(objective)
-        row, offset = _cost_row(template, objective, nums)
+        row, offset = _cost_row(template, nums, den)
         if kept is not None and kept.unique_optimum(row):
             value = kept.value(row, den) + offset
             _check_value(nums, den, kept.point_nums, kept.point_den, value)
@@ -466,10 +482,12 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
             continue
         x_std, value_std = _basic_solution(template, tableau, basis)
         point = tuple(
-            kind[2] + x_std[kind[1]]
-            if kind[0] == "shift"
-            else x_std[kind[1]] - x_std[kind[2]]
-            for kind in template.var_map
+            base + x_std[col]
+            if kind == "shift"
+            else base - x_std[col]
+            if kind == "reflect"
+            else x_std[col] - x_std[col + 1]
+            for kind, col, base in template.var_map
         )
         outcome = LpOutcome(OPTIMAL, value_std + offset, point)
         scaled = _check_outcome(template, nums, den, outcome)

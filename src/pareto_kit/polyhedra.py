@@ -38,13 +38,7 @@ from .errors import (
 from .hulls import HullSet
 from .numerics import EQ, LE, OPTIMAL, LpOutcome, dot, linprog, lp_solve
 from .numerics.linprog import lp_solve_batch
-from .numerics.rational import (
-    as_matrix,
-    as_point,
-    common_denominator,
-    rational_format,
-    scaled_rows,
-)
+from .numerics.rational import as_matrix, as_point, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
 
@@ -162,43 +156,9 @@ def lower_section_bounded(P: Polyhedron, y0) -> bool:
 
 
 def _section_minima(P: Polyhedron, anchor: Point, weight_list) -> list[LpOutcome]:
-    """Minimize each weight vector over {y in P : y <= anchor}.
-
-    Solved in the substituted variable s = anchor - y >= 0, which keeps
-    the tableau small (p nonnegative variables, the original m rows) and
-    lets the whole batch share one standardization.  The anchor is scaled
-    to integers ``anchor_nums`` / ``anchor_den`` once per batch.  Each row
-    a . y <= rhs becomes -a . s <= rhs - a . anchor, and each minimum
-    lam . y is lam . anchor plus the minimum of -lam . s.  Both offsets
-    are one integer sum over the product of the denominators, so they are
-    the same rationals that ``Fraction`` dot products give, and the
-    values equal those products exactly.  A reused basis returns the same
-    point tuple as the solve before it, so consecutive equal points share
-    one conversion y = anchor - s.
-    """
-    p = P.dim
-    anchor_nums, anchor_den = common_denominator(anchor)
-    rows = []
-    for row, rhs in zip(P.A, P.b):
-        (*nums, rhs_num), den = common_denominator((*row, rhs))
-        offset = rhs_num * anchor_den - sum(map(mul, nums, anchor_nums))
-        rows.append(([-a for a in row], LE, Fraction(offset, den * anchor_den)))
-    raw = lp_solve_batch(
-        [[-w for w in lam] for lam in weight_list], rows, lower=[0] * p
-    )
-    outcomes = []
-    s = y = None
-    for lam, outcome in zip(weight_list, raw):
-        if outcome.status != OPTIMAL:
-            outcomes.append(outcome)
-            continue
-        if outcome.point is not s:
-            s = outcome.point
-            y = tuple(a - x for a, x in zip(anchor, s))
-        nums, den = common_denominator(lam)
-        base = Fraction(sum(map(mul, nums, anchor_nums)), den * anchor_den)
-        outcomes.append(LpOutcome(OPTIMAL, base + outcome.value, y))
-    return outcomes
+    """Minimize each weight vector over {y in P : y <= anchor}."""
+    rows = [(list(row), LE, rhs) for row, rhs in zip(P.A, P.b)]
+    return lp_solve_batch(weight_list, rows, upper=anchor)
 
 
 def _section_minimum(P: Polyhedron, anchor: Point) -> LpOutcome:

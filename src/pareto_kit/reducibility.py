@@ -264,4 +264,6 @@ def instance_from_json(data: dict) -> MopInstance:
     labels = data.get("labels")
     if labels is None:
         labels = [f"x{i + 1}" for i in range(len(rows))]
+    elif not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise MalformedInput('instance "labels" must be a list of strings')
     return mop_instance(labels, rows)

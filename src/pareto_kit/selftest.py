@@ -396,9 +396,26 @@ def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
     for trial in range(int(5 * scale)):
         p = rng.randint(2, 3)
         w = generate.gen_hull(p, rng.randint(1, 6), seed * 301 + trial)
+        # generated members are mostly dominated; generators often are not
         queries = generate.gen_hull_queries(w, 4, seed * 401 + trial)
-        records = hull_reducibility_check(w, queries)
-        check(all(r.lhs == r.rhs for r in records), "hull equality")
+        for r in hull_reducibility_check(w, queries + list(w.generators)):
+            # the subset route, apart from the record: no selector of a
+            # dominated query gives a properly nondominated projection; the
+            # witness of a weakly nondominated one has weights lam >= 1
+            # that make its projection a minimizer over the projected hull
+            for sel in (r.witness,) if r.lhs else all_selectors(p):
+                sub = HullSet(tuple(tuple(g[i - 1] for i in sel) for g in w.generators))
+                y0 = tuple(r.query[i - 1] for i in sel)
+                lam = hull_is_properly_nondominated(sub, y0).witness
+                if not r.lhs:
+                    check(lam is None, "dominated hull query has a proper projection")
+                    continue
+                check(
+                    lam is not None
+                    and all(x >= 1 for x in lam)
+                    and all(dot(lam, g) >= dot(lam, y0) for g in sub.generators),
+                    "witness weights lam >= 1 make the projected query a minimizer",
+                )
     return SuiteResult("reducibility", True, check.count)
 
 

@@ -98,6 +98,20 @@ def test_reduce_counterexample(tmp_path, capsys):
     assert data["equality_efficient"] is False
 
 
+@pytest.mark.parametrize(
+    "labels",
+    ["xy", [1, "a"], [[1], [2]]],
+    ids=["labels-string", "labels-mixed", "labels-lists"],
+)
+def test_reduce_labels_not_a_list_of_strings_exit_one(tmp_path, capsys, labels):
+    inst = {"labels": labels, "objectives": [["1", "0"], ["0", "1"]]}
+    code = main(["reduce", "--input", _write(tmp_path, "inst.json", json.dumps(inst))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_reduce_hull_mode(tmp_path, capsys):
     hull_path = _write(
         tmp_path,

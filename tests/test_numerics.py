@@ -164,9 +164,9 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
         assert batch == singles
 
     # Grid-shaped case: the section of y1 + y2 >= 0 below the anchor (2, 2)
-    # in the substituted variable s = anchor - y.  Neighbouring weights
-    # share a vertex and reuse the kept basis; the weight (1/2, 1/2) ties
-    # along the whole edge and must be solved cold.
+    # in s = anchor - y, the tableau the reflected section LP pivots on.
+    # Neighbouring weights share a vertex and reuse the kept basis; the
+    # weight (1/2, 1/2) ties along the whole edge and must be solved cold.
     cold_solves = []
     run = linprog_module._run
 
@@ -381,6 +381,28 @@ def _planted_outcome_routes():
     else:
         raise AssertionError("cold batch: a planted infeasible point was returned")
 
+    def above_the_bound(basic_solution):
+        # x1 has only the upper bound 1, so x1 = 1 - s with s >= 0 is
+        # reflected; s = -1 puts x1 at 2.  No row holds x1 and its cost
+        # is 0, so only the bound check can catch it.
+        def wrapper(*args):
+            x_std, value = basic_solution(*args)
+            return [x_std[0] - 1, *x_std[1:]], value
+
+        return wrapper
+
+    try:
+        patched(
+            linprog_module,
+            "_basic_solution",
+            above_the_bound,
+            lambda: lp_solve(linprog([0, 1], [([0, -1], LE, 0)], upper=[1, 5])),
+        )
+    except InternalInconsistency:
+        pass
+    else:
+        raise AssertionError("reflected column: a point above its bound was returned")
+
 
 def test_planted_wrong_outcome_raises_on_every_route():
     _planted_outcome_routes()
@@ -477,8 +499,22 @@ def test_mixed_rows_and_bounds_match_vertex_enumeration_oracle():
         seen.update("negative rhs" for _, _, rhs in rows if rhs < 0)
         seen.update("nonzero lower" for lo in lower if lo)
         seen.update("upper" for hi in upper if hi is not None)
+        seen.update(
+            "upper only"
+            for lo, hi in zip(lower, upper)
+            if lo is None and hi is not None
+        )
         seen.update("free" for lo, hi in zip(lower, upper) if lo is None and hi is None)
-    assert seen == {LE, EQ, GE, "negative rhs", "nonzero lower", "upper", "free"}
+    assert seen == {
+        LE,
+        EQ,
+        GE,
+        "negative rhs",
+        "nonzero lower",
+        "upper",
+        "upper only",
+        "free",
+    }
     assert statuses.count(OPTIMAL) > 30 and statuses.count(INFEASIBLE) > 10
 
 
@@ -487,21 +523,23 @@ def test_initial_tableau_entries_for_every_row_kind():
 
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     # x1 in [1/2, 3] is shifted (x1 = 1/2 + u) and gets an upper-bound
-    # row; x2 is free and split (x2 = v - w).
+    # row; x2 is free and split (x2 = v - w); x3 <= 2 has no lower bound
+    # and is reflected (x3 = 2 - r): its column and cost are negated, each
+    # rhs loses a3 * 2, and it gets no bound row.
     lp = linprog(
-        [1, -2],
+        [1, -2, 3],
         [
-            ([1, 1], LE, 4),  # rhs 7/2: own slack starts basic
-            ([1, -1], GE, 1),  # rhs 1/2: slack -1, artificial
-            ([2, 1], EQ, 3),  # rhs 2: artificial
-            ([-1, "1/3"], LE, -2),  # rhs -3/2: negated, artificial
+            ([1, 1, 1], LE, 4),  # rhs 3/2: own slack starts basic
+            ([1, -1, 0], GE, 1),  # rhs 1/2: slack -1, artificial
+            ([2, 1, -1], EQ, 3),  # rhs 4: artificial
+            ([-1, "1/3", 0], LE, -2),  # rhs -3/2: negated, artificial
         ],
-        lower=["1/2", None],
-        upper=[3, None],
+        lower=["1/2", None, None],
+        upper=[3, None, 2],
     )
     template = linprog_module._template(lp)
     nums, den = common_denominator(lp.objective)
-    cost_row, offset = linprog_module._cost_row(template, lp.objective, nums)
+    cost_row, offset = linprog_module._cost_row(template, nums, den)
     # the program _run pivots on: the template's rows, then both cost rows
     std = SimpleNamespace(
         rows=template.rows + [cost_row, template.cost1],
@@ -509,19 +547,19 @@ def test_initial_tableau_entries_for_every_row_kind():
         basis=template.basis,
         offset=offset,
     )
-    # columns: u, v, w, four slacks, three artificials, right-hand side
+    # columns: u, v, w, r, four slacks, three artificials, right-hand side
     h = Fraction(1, 2)
     t = Fraction(1, 3)
     expected = [
-        [1, 1, -1, 1, 0, 0, 0, 0, 0, 0, 7 * h],
-        [1, -1, 1, 0, -1, 0, 0, 1, 0, 0, h],
-        [2, 1, -1, 0, 0, 0, 0, 0, 1, 0, 2],
-        [1, -t, t, 0, 0, -1, 0, 0, 0, 1, 3 * h],
-        [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5 * h],
-        # phase-2 cost row
-        [1, -2, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 1, -1, -1, 1, 0, 0, 0, 0, 0, 0, 3 * h],
+        [1, -1, 1, 0, 0, -1, 0, 0, 1, 0, 0, h],
+        [2, 1, -1, 1, 0, 0, 0, 0, 0, 1, 0, 4],
+        [1, -t, t, 0, 0, 0, -1, 0, 0, 0, 1, 3 * h],
+        [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5 * h],
+        # phase-2 cost row: the reflected column costs -3
+        [1, -2, 2, -3, 0, 0, 0, 0, 0, 0, 0, 0],
         # phase-1 cost row: minus the sum of the three artificial rows
-        [-4, t, -t, 0, 1, 1, 0, 0, 0, 0, -4],
+        [-4, t, -t, -1, 0, 1, 1, 0, 0, 0, 0, -6],
     ]
     tableau = Tableau(std.rows, std.dens)
     actual = [
@@ -531,5 +569,7 @@ def test_initial_tableau_entries_for_every_row_kind():
     assert len(std.rows) == len(expected)
     # each row is in the tableau's lowest-terms form
     assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(std.rows, std.dens))
-    assert std.basis == [3, 7, 8, 9, 6]
-    assert std.offset == h
+    assert std.basis == [4, 8, 9, 10, 7]
+    # objective . base: 1 * 1/2 for the shifted x1, 3 * 2 for the
+    # reflected x3
+    assert std.offset == h + 3 * 2

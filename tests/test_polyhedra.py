@@ -238,7 +238,7 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
 
 def test_section_minima_match_per_weight_solves_in_y():
     # The same minima as single LPs in y itself: min lam . y over
-    # A y <= b and y <= anchor, y free, with no substitution s = anchor - y.
+    # A y <= b and y <= anchor as rows, y free and split, with no reflection.
     from pareto_kit.polyhedra import _section_minima, _simplex_grid
 
     optimal = 0
