@@ -52,13 +52,11 @@ from .polyhedra import (
     EquivalenceReport,
     Polyhedron,
     RecessionCone,
-    RedundancyReport,
     frontier_sample_connected,
     lower_section_bounded,
     negative_recession_direction,
     polyhedron,
     recession_cone,
-    redundancy_demonstration,
     theorem_full_report,
 )
 from .reducibility import (

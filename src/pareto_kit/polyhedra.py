@@ -3,10 +3,12 @@
 A polyhedron A y <= b is closed and convex by construction, which is the
 setting where nonemptiness of the nondominated set, boundedness of the
 lower sections, cone compactness, cone semicompactness, and external
-stability all stand or fall together.  The report computes nonemptiness by
-two independent routes and errors out if they ever disagree; the other
-four properties are read from route (a), because every lower section has
-the recession cone {d : A d <= 0, d <= 0}:
+stability all stand or fall together: every lower section has the
+recession cone {d : A d <= 0, d <= 0}, so each of them holds exactly when
+route (a) below finds no direction.  The report therefore stores one
+verdict, nonemptiness, with its certificate; the ``poly`` command writes
+it under the other four names.  Nonemptiness is computed by two
+independent routes, and the report errors out if they ever disagree:
 
 * route (a): a nonzero direction d <= 0 with A d <= 0 exists iff every
   point can be pushed down forever, i.e. the frontier is empty,
@@ -25,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import combinations
+from operator import mul, sub
 
 from .errors import (
     EmptyFrontier,
@@ -168,34 +171,26 @@ def _section_minimum(P: Polyhedron, anchor: Point) -> LpOutcome:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Joint verdict on the five structural properties; all flags agree."""
+    """The frontier's nonemptiness verdict and its certificate.
+
+    ``witness`` is a certified nondominated point when the frontier is
+    nonempty, and ``negative_direction`` a direction d != 0 with A d <= 0
+    and d <= 0 when it is empty; exactly one of them is set.
+    """
 
     y_n_nonempty: bool
     witness: Point | None
     negative_direction: Point | None
-    sections_bounded: bool
-    cone_compact: bool
-    cone_semicompact: bool
-    externally_stable: bool
-    justification: tuple[tuple[str, str], ...]
-
-    def all_flags(self) -> tuple[bool, ...]:
-        return (
-            self.y_n_nonempty,
-            self.sections_bounded,
-            self.cone_compact,
-            self.cone_semicompact,
-            self.externally_stable,
-        )
 
 
 def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
-    """Decide the five-way equivalence on a nonempty polyhedron.
+    """Decide whether a nonempty polyhedron has a nonempty frontier.
 
     Nonemptiness of the frontier is computed twice: by the recession route
     and, when that route says nonempty, by producing and certifying an
     actual nondominated point.  Disagreement between the routes raises
     InternalInconsistency; it would mean the LP kernel itself is wrong.
+    Every sample must lie in P; the first anchors the witness's section.
     """
     base = _require_nonempty(P)
     sample_points = [as_point(s) for s in samples]
@@ -205,96 +200,32 @@ def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
     anchor = sample_points[0] if sample_points else base
 
     direction = negative_recession_direction(P)
-    nonempty = direction is None
-
-    witness: Point | None = None
-    if nonempty:
-        outcome = _section_minimum(P, anchor)
-        if outcome.status != OPTIMAL:
-            raise InternalInconsistency(
-                "recession route says bounded but the section LP is unbounded"
-            )
-        witness = outcome.point
-        certify = _section_minimum(P, witness)
-        if certify.status != OPTIMAL or certify.value != sum(witness):
-            raise InternalInconsistency(
-                "witness produced by the section LP failed its nondominance check"
-            )
-
-    # Every lower section has the recession cone {d : A d <= 0, d <= 0},
-    # whatever the sample, so every section is bounded iff there is no
-    # negative recession direction.
-    return EquivalenceReport(
-        y_n_nonempty=nonempty,
-        witness=witness,
-        negative_direction=direction,
-        sections_bounded=nonempty,
-        cone_compact=nonempty,
-        cone_semicompact=nonempty,
-        externally_stable=nonempty,
-        justification=(
-            ("y_n_nonempty", "recession direction and certified witness"),
-            ("sections_bounded", "recession direction at every sample"),
-            ("cone_compact", "equivalent to bounded sections"),
-            ("cone_semicompact", "implied by cone compactness"),
-            ("externally_stable", "implied by cone semicompactness"),
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class RedundancyReport:
-    """Checks that a nonempty frontier already forces bounded sections.
-
-    When the frontier is empty the claim is vacuous and the report says so.
-    """
-
-    applicable: bool
-    witness: Point | None
-    sections_checked: int
-    sections_bounded: bool | None
-    passed: bool
-
-
-def _redundancy(report: EquivalenceReport, sample_count: int) -> RedundancyReport:
-    """The redundancy block of ``report`` on ``sample_count`` samples; with
-    none, the witness's section is the one checked."""
-    if not report.y_n_nonempty:
-        return RedundancyReport(
-            applicable=False,
-            witness=None,
-            sections_checked=0,
-            sections_bounded=None,
-            passed=True,
+    if direction is not None:
+        return EquivalenceReport(False, None, direction)
+    outcome = _section_minimum(P, anchor)
+    if outcome.status != OPTIMAL:
+        raise InternalInconsistency(
+            "recession route says bounded but the section LP is unbounded"
         )
-    return RedundancyReport(
-        applicable=True,
-        witness=report.witness,
-        sections_checked=sample_count or 1,
-        sections_bounded=report.sections_bounded,
-        passed=report.sections_bounded,
-    )
-
-
-def redundancy_demonstration(P: Polyhedron, samples=()) -> RedundancyReport:
-    samples = list(samples)
-    return _redundancy(theorem_full_report(P, samples), len(samples))
+    witness = outcome.point
+    certify = _section_minimum(P, witness)
+    if certify.status != OPTIMAL or certify.value != sum(witness):
+        raise InternalInconsistency(
+            "witness produced by the section LP failed its nondominance check"
+        )
+    return EquivalenceReport(True, witness, None)
 
 
 def _compositions(p: int, k: int) -> list[tuple[int, ...]]:
-    """Integer tuples (n_1, ..., n_p) with n_i >= 1 summing to k."""
-    out: list[tuple[int, ...]] = []
+    """Integer tuples (n_1, ..., n_p) with n_i >= 1 summing to k.
 
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            if remaining >= 1:
-                out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(1, remaining - (slots - 1) + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], k, p)
-    return out
+    Stars and bars: p - 1 cut points in 1..k-1 split k into p positive
+    parts, in lexicographic order of the tuples.
+    """
+    return [
+        tuple(map(sub, cuts + (k,), (0,) + cuts))
+        for cuts in combinations(range(1, k), p - 1)
+    ]
 
 
 def _simplex_grid(p: int, k: int) -> list[tuple[Fraction, ...]]:

@@ -67,6 +67,8 @@ class MopInstance:
 
 
 def mop_instance(labels, objectives) -> MopInstance:
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+        raise MalformedInput("instance labels must be a list of strings")
     return MopInstance(tuple(labels), as_matrix(objectives))
 
 
@@ -264,6 +266,4 @@ def instance_from_json(data: dict) -> MopInstance:
     labels = data.get("labels")
     if labels is None:
         labels = [f"x{i + 1}" for i in range(len(rows))]
-    elif not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise MalformedInput('instance "labels" must be a list of strings')
     return mop_instance(labels, rows)

@@ -205,30 +205,18 @@ def test_hull_reducibility_examples():
     assert simple[0].witness == (1, 2)
 
 
-def test_hull_reducibility_equality_fuzz():
-    rng = random.Random(71)
-    for trial in range(12):
-        p = rng.randint(2, 3)
-        w = gen_hull(p, rng.randint(1, 8), trial + 50)
-        queries = gen_hull_queries(w, 5, trial + 60)
-        records = hull_reducibility_check(w, queries)
-        assert all(r.lhs == r.rhs for r in records)
-        for r in records:
-            if r.rhs:
-                assert r.witness is not None
-
-
-def test_hull_reducibility_subset_route_as_oracle():
+def _check_against_subset_route(seed, max_p, offset):
     # every selector's subproblem solved, as an oracle: a query whose weak
     # LP finds a strict dominator is properly nondominated in no
     # projection, and a weakly nondominated query's witness is the first
-    # selector whose subproblem makes it properly nondominated
-    rng = random.Random(73)
+    # selector whose subproblem makes it properly nondominated; returns
+    # the number of dominated queries
+    rng = random.Random(seed)
     dominated = 0
     for trial in range(12):
-        p = rng.randint(2, 4)
-        w = gen_hull(p, rng.randint(1, 8), trial + 80)
-        queries = gen_hull_queries(w, 5, trial + 90)
+        p = rng.randint(2, max_p)
+        w = gen_hull(p, rng.randint(1, 8), trial + offset)
+        queries = gen_hull_queries(w, 5, trial + offset + 10)
         records = hull_reducibility_check(w, queries)
         for q, r in zip(queries, records):
             proper = [
@@ -238,14 +226,26 @@ def test_hull_reducibility_subset_route_as_oracle():
                 ).verdict
                 for sel in all_selectors(p)
             ]
+            assert r.lhs == r.rhs
             if hulls._strict_dominator(w, q) is not None:
                 dominated += 1
                 assert not any(proper)
                 assert (r.lhs, r.rhs, r.witness) == (False, False, None)
             else:
                 assert (r.lhs, r.rhs) == (True, True)
+                assert r.witness is not None
                 assert r.witness == all_selectors(p)[proper.index(True)]
-    assert dominated > 10
+    return dominated
+
+
+def test_hull_reducibility_equality_fuzz():
+    # p 2-3: lhs and rhs are each checked against the subset route, not
+    # only against one another
+    _check_against_subset_route(71, 3, 50)
+
+
+def test_hull_reducibility_subset_route_as_oracle():
+    assert _check_against_subset_route(73, 4, 80) > 10
 
 
 def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
@@ -268,3 +268,16 @@ def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
 def test_instance_json_round_trip():
     data = instance_to_json(TRIANGLE)
     assert instance_from_json(data) == TRIANGLE
+
+
+@pytest.mark.parametrize(
+    "labels",
+    ["xy", [[1], [2]], [1, "a"], {"x": 0, "y": 1}],
+    ids=["labels-string", "labels-lists", "labels-mixed", "labels-dict"],
+)
+def test_labels_not_a_list_of_strings(labels):
+    rows = [(1, 0), (0, 1)]
+    with pytest.raises(MalformedInput):
+        mop_instance(labels, rows)
+    with pytest.raises(MalformedInput):
+        instance_from_json({"labels": labels, "objectives": [["1", "0"], ["0", "1"]]})

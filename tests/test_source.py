@@ -17,3 +17,12 @@ def test_no_module_uses_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_library_block_runs():
+    """README's "Library" example runs, so a renamed or deleted public
+    name fails here instead of leaving the README stale."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
