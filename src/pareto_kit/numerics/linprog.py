@@ -10,13 +10,16 @@ loop runs on the integer tableau of ``_simplex_py``.
 ``lp_solve`` and ``lp_solve_batch`` share one driver, ``_solve``.  It
 takes the objective-independent part of a program (``_Template``: the
 constraints scaled to integers once, standardized, plus the phase-1 cost
-row and the bounds) and a list of objectives.  For each objective it
-builds the cost row, reuses the basis kept from the previous optimum
-when that point is provably the unique optimum, and otherwise solves
-cold.  Every point is re-substituted by ``_check_outcome`` into the
-same integer rows once, when a cold solve returns it, and only then may
-its basis be kept; a reused point is that same checked tuple, so only
-its new objective value is checked, by ``_check_value``.
+row and the bounds) and a list of objectives, each as integer
+numerators over a positive denominator; the two entry points coerce
+their objectives to that form.  For each objective it builds the cost
+row and prices it against every basis kept in the batch, most recent
+first.  The first basis at which the point is provably the unique
+optimum supplies it; when none does, the objective is solved cold.
+Every point is re-substituted by ``_check_outcome`` into the same
+integer rows once, when a cold solve returns it, and only then may its
+basis be kept; a reused point is that same checked tuple, so only its
+new objective value is checked, by ``_check_value``.
 
 Bounds are standardized only here: a variable is shifted, reflected or
 split (see ``_template``), and every point is read back and checked in
@@ -406,7 +409,8 @@ def _basic_solution(template: _Template, tableau, basis):
 
 
 class _OptimalBasis:
-    """The final basis of an optimal solve, kept to price later objectives.
+    """The final basis of an optimal solve, kept with every other basis of
+    its batch to price the later objectives.
 
     Holds the basic solution as integers over their common denominator;
     the original point, which ``_check_outcome`` has already passed, with
@@ -452,13 +456,17 @@ class _OptimalBasis:
 def _solve(template: _Template, costs) -> list[LpOutcome]:
     """Minimize each objective of ``costs`` over the template's program.
 
-    After an optimal cold solve of a system without artificial variables,
-    when another objective follows, the final basis is kept.  When every
-    nonbasic reduced cost of the next objective at that basis is strictly
-    positive, the basic solution is the program's unique optimum, so a
-    cold solve would return that same point; it is reused and its value
-    recomputed.  Otherwise, ties (a zero reduced cost) included, the
-    objective is solved from the initial basis.
+    ``costs`` is a list of objectives, each a pair (numerators,
+    denominator) of integers with a positive denominator.  After an
+    optimal cold solve of a system without artificial variables, when
+    another objective follows, the final basis is kept, along with every
+    basis kept before it in the batch.  Each later objective is priced
+    at the kept bases, most recent first.  When every nonbasic reduced
+    cost at one of them is strictly positive, its basic solution is the
+    program's unique optimum, so a cold solve would return that same
+    point, whichever basis proves it; it is reused and its value
+    recomputed.  Otherwise, ties (a zero reduced cost at every kept
+    basis) included, the objective is solved from the initial basis.
 
     Every cold optimal outcome passes ``_check_outcome`` (its value, every
     constraint and every bound) before its basis is kept.  A reused
@@ -467,14 +475,14 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
     is checked, by ``_check_value``.  Each check keeps its truth value.
     """
     outcomes = []
-    kept = None
-    for k, objective in enumerate(costs):
-        nums, den = common_denominator(objective)
+    kept: list[_OptimalBasis] = []
+    for k, (nums, den) in enumerate(costs):
         row, offset = _cost_row(template, nums, den)
-        if kept is not None and kept.unique_optimum(row):
-            value = kept.value(row, den) + offset
-            _check_value(nums, den, kept.point_nums, kept.point_den, value)
-            outcomes.append(LpOutcome(OPTIMAL, value, kept.point))
+        proof = next((b for b in reversed(kept) if b.unique_optimum(row)), None)
+        if proof is not None:
+            value = proof.value(row, den) + offset
+            _check_value(nums, den, proof.point_nums, proof.point_den, value)
+            outcomes.append(LpOutcome(OPTIMAL, value, proof.point))
             continue
         status, tableau, basis = _run(template, row, den)
         if status != OPTIMAL:
@@ -492,7 +500,7 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
         outcome = LpOutcome(OPTIMAL, value_std + offset, point)
         scaled = _check_outcome(template, nums, den, outcome)
         if template.n_art == 0 and k + 1 < len(costs):
-            kept = _OptimalBasis(template, tableau, basis, x_std, point, scaled)
+            kept.append(_OptimalBasis(template, tableau, basis, x_std, point, scaled))
         outcomes.append(outcome)
     return outcomes
 
@@ -503,24 +511,30 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     Optimal outcomes are re-substituted into every constraint before being
     returned, so a reported point satisfies the program exactly.
     """
-    return _solve(_template(lp), [lp.objective])[0]
+    return _solve(_template(lp), [common_denominator(lp.objective)])[0]
 
 
 def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
     """Solve one program per objective over a shared constraint system.
 
     Produces exactly the same outcomes as calling lp_solve per objective.
-    The constraint standardization is done once, and ``_solve`` reuses a
-    kept optimal basis wherever it is provably the unique optimum.
+    The constraint standardization is done once, and ``_solve`` reuses
+    any basis kept in the batch wherever it is provably the unique
+    optimum.  Coefficients may be ``int``, ``str`` or ``Fraction``.
     """
-    costs = [tuple(as_fraction(c) for c in objective) for objective in objectives]
+    # an int coefficient is used as it is; as_fraction refuses inexact types
+    costs = [
+        common_denominator(
+            c if isinstance(c, int) else as_fraction(c) for c in objective
+        )
+        for objective in objectives
+    ]
     if not costs:
         return []
-    base = linprog(costs[0], rows, lower, upper)
-    n = len(base.objective)
-    for cost in costs:
-        if len(cost) != n:
+    n = len(costs[0][0])
+    for nums, _ in costs:
+        if len(nums) != n:
             raise DimensionMismatch(
-                f"objective has {len(cost)} coefficients, expected {n}"
+                f"objective has {len(nums)} coefficients, expected {n}"
             )
-    return _solve(_template(base), costs)
+    return _solve(_template(linprog([0] * n, rows, lower, upper)), costs)

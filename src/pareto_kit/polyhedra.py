@@ -159,14 +159,19 @@ def lower_section_bounded(P: Polyhedron, y0) -> bool:
 
 
 def _section_minima(P: Polyhedron, anchor: Point, weight_list) -> list[LpOutcome]:
-    """Minimize each weight vector over {y in P : y <= anchor}."""
+    """Minimize each weight vector over {y in P : y <= anchor}.
+
+    The weights are positive integer vectors, such as the compositions of
+    a grid: a positive factor on a weight moves no optimal point, and
+    scales the optimal value with it.
+    """
     rows = [(list(row), LE, rhs) for row, rhs in zip(P.A, P.b)]
     return lp_solve_batch(weight_list, rows, upper=anchor)
 
 
 def _section_minimum(P: Polyhedron, anchor: Point) -> LpOutcome:
     """Minimize the coordinate sum over {y in P : y <= anchor}."""
-    return _section_minima(P, anchor, [(Fraction(1),) * P.dim])[0]
+    return _section_minima(P, anchor, [(1,) * P.dim])[0]
 
 
 @dataclass(frozen=True)
@@ -228,11 +233,6 @@ def _compositions(p: int, k: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _simplex_grid(p: int, k: int) -> list[tuple[Fraction, ...]]:
-    """Weight vectors (n_1/k, ..., n_p/k) with integer n_i >= 1 summing to k."""
-    return [tuple(Fraction(v, k) for v in counts) for counts in _compositions(p, k)]
-
-
 def _distance_sq(a: Point, b: Point) -> Fraction:
     return sum(((x - y) * (x - y) for x, y in zip(a, b)), Fraction(0))
 
@@ -253,8 +253,11 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
     generators.  Polyhedral sources need route (a)'s nonempty verdict; their
     samples minimize each weight over the lower section of a member,
     which keeps every grid LP bounded and still lands on globally
-    nondominated points.  The default radius is four times the largest gap
-    between consecutive distinct samples, carried as its square.
+    nondominated points.  A grid weight (n_1/k, ..., n_p/k) is passed as
+    its integer composition (n_1, ..., n_p): the positive factor k moves
+    no minimizer, only the values, which are not read.  The default
+    radius is four times the largest gap between consecutive distinct
+    samples, carried as its square.
     """
     if grid < 1:
         raise MalformedInput("grid must be at least 1")
@@ -283,7 +286,7 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
     else:
         if negative_recession_direction(source) is not None:
             raise EmptyFrontier("the polyhedron has an empty frontier")
-        outcomes = _section_minima(source, feasible_point(source), _simplex_grid(p, grid))
+        outcomes = _section_minima(source, feasible_point(source), grid_counts)
         if any(o.status != OPTIMAL for o in outcomes):  # the section is compact
             raise InternalInconsistency("grid LP over a compact section is not optimal")
         optima = [o.point for o in outcomes]

@@ -147,7 +147,7 @@ def test_lp_matches_vertex_enumeration_oracle():
 
 def test_batch_solve_matches_individual_solves(monkeypatch):
     from pareto_kit.numerics.linprog import lp_solve_batch
-    from pareto_kit.polyhedra import _simplex_grid
+    from pareto_kit.polyhedra import _compositions
 
     # the package re-exports the function linprog under the module's name
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
@@ -165,8 +165,8 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
 
     # Grid-shaped case: the section of y1 + y2 >= 0 below the anchor (2, 2)
     # in s = anchor - y, the tableau the reflected section LP pivots on.
-    # Neighbouring weights share a vertex and reuse the kept basis; the
-    # weight (1/2, 1/2) ties along the whole edge and must be solved cold.
+    # Neighbouring weights share a vertex and reuse a kept basis; the
+    # weight (4, 4) ties along the whole edge and must be solved cold.
     cold_solves = []
     run = linprog_module._run
 
@@ -176,19 +176,68 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
 
     monkeypatch.setattr(linprog_module, "_run", counting)
     rows = [([1, 1], LE, 4)]
-    objectives = [[-w for w in lam] for lam in _simplex_grid(2, 8)]
+    objectives = [[-n for n in counts] for counts in _compositions(2, 8)]
     batch = lp_solve_batch(objectives, rows, lower=[0, 0])
     monkeypatch.undo()
     singles = [lp_solve(linprog(obj, rows, lower=[0, 0])) for obj in objectives]
     assert batch == singles
     assert len(objectives) == 7 and len(cold_solves) == 2
 
+    # The optimum goes from A = (0, 4) to B = (4, 0) and back to A.  The
+    # third objective is priced at B first, where it is not optimal, then
+    # at A, which proves it unique: two cold solves for three objectives,
+    # where keeping only the last basis took three.
+    del cold_solves[:]
+    monkeypatch.setattr(linprog_module, "_run", counting)
+    objectives = [[-1, -2], [-2, -1], [-1, -3]]
+    batch = lp_solve_batch(objectives, rows, lower=[0, 0])
+    monkeypatch.undo()
+    singles = [lp_solve(linprog(obj, rows, lower=[0, 0])) for obj in objectives]
+    assert batch == singles
+    assert [o.point for o in batch] == [(0, 4), (4, 0), (0, 4)]
+    assert len(cold_solves) == 2
+
+
+def test_section_minima_match_single_solves_on_every_family():
+    # Every grid weight, ties included, gets exactly the outcome of its own
+    # cold solve of the same reflected program: y <= anchor as the upper
+    # bound, with the integer composition as the objective.
+    from pareto_kit.generate import POLY_FAMILIES, gen_poly
+    from pareto_kit.polyhedra import _compositions, _section_minima
+
+    statuses = set()
+    for family in POLY_FAMILIES:
+        for p in (2, 3, 4):
+            P, _, anchor = gen_poly(p, 4, 80 + p, family)
+            rows = [(list(a), LE, b) for a, b in zip(P.A, P.b)]
+            for k in (4, 8, 16):
+                weights = _compositions(p, k)
+                singles = [lp_solve(linprog(w, rows, upper=anchor)) for w in weights]
+                assert _section_minima(P, anchor, weights) == singles
+                statuses.update(o.status for o in singles)
+    assert statuses == {OPTIMAL, UNBOUNDED}
+
+
+def test_batch_objective_coercion():
+    from pareto_kit.numerics.linprog import lp_solve_batch
+
+    rows = [([1, 1], LE, 4)]
+    with pytest.raises(MalformedNumber):
+        lp_solve_batch([[1, 1], [0.5, 1]], rows, lower=[0, 0])
+    objectives = [["1/2", -1], [Fraction(-3, 2), Fraction(1, 3)], [-2, "0.25"]]
+    singles = [lp_solve(linprog(obj, rows, lower=[0, 0])) for obj in objectives]
+    assert lp_solve_batch(objectives, rows, lower=[0, 0]) == singles
+    generated = (obj for obj in objectives)
+    assert lp_solve_batch(generated, rows, lower=[0, 0]) == singles
+    assert lp_solve_batch([], rows, lower=[0, 0]) == []
+    assert lp_solve_batch(iter(()), rows, lower=[0, 0]) == []
+
 
 def test_grid_batch_checks_each_cold_point_once(monkeypatch):
     # Every cold optimum passes _check_outcome once; a reused point is the
     # same tuple, so only its value is checked again.
     from pareto_kit.generate import gen_poly
-    from pareto_kit.polyhedra import _section_minima, _simplex_grid
+    from pareto_kit.polyhedra import _compositions, _section_minima
 
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     run, check = linprog_module._run, linprog_module._check_outcome
@@ -209,7 +258,7 @@ def test_grid_batch_checks_each_cold_point_once(monkeypatch):
     for p in (2, 3):
         for seed in range(4):
             P, _, anchor = gen_poly(p, 4, 60 + seed, "box")
-            weights = _simplex_grid(p, 8)
+            weights = _compositions(p, 8)
             del optimal_cold[:], checked[:]
             outcomes = _section_minima(P, anchor, weights)
             assert all(o.status == OPTIMAL for o in outcomes)
@@ -266,10 +315,12 @@ def test_batch_objective_of_wrong_length_is_rejected():
 
 def _planted_outcome_routes():
     """Plant a wrong optimal value on each route through the LP driver (a
-    cold single solve, a cold batch solve, and a point reused from a kept
-    basis) and require InternalInconsistency on each.  Then plant an
-    infeasible point of the right value on a cold batch solve: it must be
-    caught before its basis is kept, so before any objective reuses it.
+    cold single solve, a cold batch solve, a point reused from the last
+    kept basis, and one reused from an older kept basis) and require
+    InternalInconsistency on each.  Then plant an infeasible point of the
+    right value on the first and on the second cold solve of a batch: it
+    must be caught before its basis is kept, so before any objective
+    reuses it, while the basis checked before it stays kept.
 
     Patches by hand and raises instead of asserting, so that it checks
     the same under ``python -O``.
@@ -309,6 +360,22 @@ def _planted_outcome_routes():
     if batch != singles or len(cold) != 1:
         raise AssertionError(f"expected one cold solve and one reuse, got {cold}")
 
+    # the optimum goes from (0, 4) to (4, 0) and back: the third objective
+    # is not optimal at the last kept basis, and reuses the first one
+    returning = [[-1, -2], [-2, -1], [-1, -3]]
+    del cold[:]
+    batch = patched(
+        linprog_module,
+        "_run",
+        counting,
+        lambda: lp_solve_batch(returning, rows, lower=[0, 0]),
+    )
+    singles = [lp_solve(linprog(obj, rows, lower=[0, 0])) for obj in returning]
+    if batch != singles or len(cold) != 2 or batch[0].point == batch[1].point:
+        raise AssertionError(
+            f"expected a reuse of the older basis, got {len(cold)} cold solves"
+        )
+
     def off_by_one_solution(basic_solution):
         def wrapper(*args):
             x_std, value = basic_solution(*args)
@@ -337,6 +404,12 @@ def _planted_outcome_routes():
             "value",
             off_by_one_value,
             lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
+        ),
+        "reused older basis": (
+            linprog_module._OptimalBasis,
+            "value",
+            off_by_one_value,
+            lambda: lp_solve_batch(returning, rows, lower=[0, 0]),
         ),
     }
     for route, (owner, name, replacement, solve) in routes.items():
@@ -380,6 +453,43 @@ def _planted_outcome_routes():
             raise AssertionError("an unchecked point's basis was kept") from None
     else:
         raise AssertionError("cold batch: a planted infeasible point was returned")
+
+    def off_the_constraints_second(basic_solution):
+        # The second cold solve's (4, 0) becomes (3, 2), outside
+        # x1 + x2 <= 4; the shift (-1, 2) is orthogonal to (-2, -1).
+        calls = []
+
+        def wrapper(*args):
+            x_std, value = basic_solution(*args)
+            calls.append(args)
+            if len(calls) == 2:
+                x_std = [x_std[0] - 1, x_std[1] + 2]
+            return x_std, value
+
+        return wrapper
+
+    def infeasible_second_cold_solve():
+        return patched(
+            linprog_module,
+            "_basic_solution",
+            off_the_constraints_second,
+            lambda: lp_solve_batch(returning, rows, lower=[0, 0]),
+        )
+
+    del kept[:]
+    try:
+        patched(
+            linprog_module, "_OptimalBasis", recording, infeasible_second_cold_solve
+        )
+    except InternalInconsistency:
+        if len(kept) != 1:
+            raise AssertionError(
+                f"expected only the first checked basis kept, got {len(kept)}"
+            ) from None
+    else:
+        raise AssertionError(
+            "second cold solve: a planted infeasible point was returned"
+        )
 
     def above_the_bound(basic_solution):
         # x1 has only the upper bound 1, so x1 = 1 - s with s >= 0 is

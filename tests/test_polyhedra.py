@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -226,7 +228,9 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
 def test_section_minima_match_per_weight_solves_in_y():
     # The same minima as single LPs in y itself: min lam . y over
     # A y <= b and y <= anchor as rows, y free and split, with no reflection.
-    from pareto_kit.polyhedra import _section_minima, _simplex_grid
+    # The batch takes each weight lam = n/k as its composition n, so its
+    # values are k times the single LP's.
+    from pareto_kit.polyhedra import _compositions, _section_minima
 
     optimal = 0
     for family in POLY_FAMILIES:
@@ -237,16 +241,19 @@ def test_section_minima_match_per_weight_solves_in_y():
                 rows += [
                     ([int(i == j) for i in range(p)], LE, anchor[j]) for j in range(p)
                 ]
-                weights = _simplex_grid(p, p + 3)
-                for lam, outcome in zip(weights, _section_minima(P, anchor, weights)):
+                k = p + 3
+                weights = _compositions(p, k)
+                outcomes = _section_minima(P, anchor, weights)
+                for counts, outcome in zip(weights, outcomes):
+                    lam = [Fraction(n, k) for n in counts]
                     expected = lp_solve(linprog(lam, rows))
                     assert outcome.status == expected.status
                     if outcome.status != OPTIMAL:
                         continue
                     optimal += 1
                     point = outcome.point
-                    assert outcome.value == expected.value
-                    assert outcome.value == sum(w * y for w, y in zip(lam, point))
+                    assert outcome.value / k == expected.value
+                    assert outcome.value / k == sum(w * y for w, y in zip(lam, point))
                     if point != expected.point:
                         # only a tie may differ: a second feasible point of
                         # the same optimal value, which the other
@@ -254,6 +261,63 @@ def test_section_minima_match_per_weight_solves_in_y():
                         assert P.contains(point)
                         assert all(y <= a for y, a in zip(point, anchor))
     assert optimal > 300
+
+
+# The connect sweep below, recorded when each grid batch kept only its last
+# optimal basis: per (family, p), the number of reports and the first 16
+# hex digits of the sha256 of their repr.  No halfplane polyhedron of the
+# sweep has a nonempty frontier.
+_CONNECT_SWEEP = {
+    ("box", 2): (12, "f62a442be11caff2"),
+    ("box", 3): (12, "d68047bbe9f4ffaa"),
+    ("box", 4): (12, "86bf6477823e6efa"),
+    ("orthant", 2): (12, "54aa49d31093b951"),
+    ("orthant", 3): (12, "a7e027f23c344f0a"),
+    ("orthant", 4): (12, "e2b9da9e353ec458"),
+    ("tilted", 2): (12, "a044bbb8c04745cb"),
+    ("tilted", 3): (12, "fee7215acb3c0931"),
+    ("tilted", 4): (12, "3674a2821099430a"),
+    ("halfplane", 2): (0, "4f53cda18c2baa0c"),
+    ("halfplane", 3): (0, "4f53cda18c2baa0c"),
+    ("halfplane", 4): (0, "4f53cda18c2baa0c"),
+    ("random", 2): (12, "0fc1c951711eeb09"),
+    ("random", 3): (12, "ad9a705efc46f058"),
+    ("random", 4): (9, "c4235825ba5f10ef"),
+}
+
+# cold solves of the sweep's grid batches when each kept only its last basis
+_CONNECT_SWEEP_COLD_SOLVES = 1363
+
+
+def test_connect_sweep_solves_a_third_as_many_cold_lps(monkeypatch):
+    # Grids 4/8/16 over every polyhedron with a nonempty frontier among
+    # gen_poly(p, 6, seed, family), seeds 0-3.  Pricing each weight at
+    # every basis kept in its batch must keep the reports and cut the
+    # cold solves to at most a third.
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    run = linprog_module._run
+    cold_solves = []
+
+    def counting(*args):
+        cold_solves.append(args)
+        return run(*args)
+
+    digests = {}
+    for family in POLY_FAMILIES:
+        for p in (2, 3, 4):
+            reports = []
+            for seed in range(4):
+                P, _, _ = gen_poly(p, 6, seed, family)
+                if negative_recession_direction(P) is not None:
+                    continue
+                for grid in (4, 8, 16):
+                    monkeypatch.setattr(linprog_module, "_run", counting)
+                    reports.append(frontier_sample_connected(P, grid))
+                    monkeypatch.undo()
+            digest = hashlib.sha256(repr(reports).encode()).hexdigest()[:16]
+            digests[family, p] = (len(reports), digest)
+    assert digests == _CONNECT_SWEEP
+    assert 3 * len(cold_solves) <= _CONNECT_SWEEP_COLD_SOLVES
 
 
 def test_caches_are_bounded():
