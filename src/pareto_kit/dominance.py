@@ -69,10 +69,14 @@ def _checked(points) -> tuple[Point, ...]:
     return matrix
 
 
-def _unique_groups(points: tuple[Point, ...]):
-    groups: dict[Point, list[int]] = {}
-    for i, point in enumerate(points):
-        groups.setdefault(point, []).append(i)
+def _unique_groups(rows):
+    """The distinct rows, in order of first occurrence, and the indices
+    holding each.  Callers pass rows scaled to integers where they can:
+    a positive common factor keeps every equality, and an int hashes
+    faster than a Fraction."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row, []).append(i)
     values = list(groups)
     return values, groups
 
@@ -84,17 +88,16 @@ def _componentwise(scaled: list[tuple[int, ...]], strict: bool):
     return keys, lambda j, k: all(map(cmp, scaled[j], scaled[k]))
 
 
-def _cone_order(values: list[Point], ordering: PolyhedralCone, direction: Point):
+def _cone_order(scaled: list[tuple[int, ...]], ordering: PolyhedralCone, direction: Point):
     """Scan keys (d . y, y) and test of the cone order, d positive on it.
 
-    d . y is taken on d and the values scaled to integers: positive
+    d . y is taken on d and the values, both scaled to integers: positive
     factors keep every comparison of the keys.
     """
-    scaled = scaled_rows(values)
     d = common_denominator(direction)[0]
     w = [sum(map(mul, d, y)) for y in scaled]
     precedes = _cone_precedes(ordering, scaled)
-    return list(zip(w, values)), lambda j, k: w[j] < w[k] and precedes(j, k)
+    return list(zip(w, scaled)), lambda j, k: w[j] < w[k] and precedes(j, k)
 
 
 def _dominators(keys: list, below) -> list[int | None]:
@@ -125,7 +128,7 @@ def _dominators(keys: list, below) -> list[int | None]:
     return out
 
 
-def _survivors(found: list[int | None], groups: dict[Point, list[int]]) -> list[int]:
+def _survivors(found: list[int | None], groups: dict[tuple, list[int]]) -> list[int]:
     """The sorted indices of every value the scan left undominated."""
     out: list[int] = []
     for group, j in zip(groups.values(), found):
@@ -134,9 +137,10 @@ def _survivors(found: list[int | None], groups: dict[Point, list[int]]) -> list[
     return sorted(out)
 
 
-def _surviving_indices(points: tuple[Point, ...], strict: bool) -> list[int]:
-    values, groups = _unique_groups(points)
-    return _survivors(_dominators(*_componentwise(scaled_rows(values), strict)), groups)
+def _surviving_indices(scaled: list[tuple[int, ...]], strict: bool) -> list[int]:
+    """Indices of the rows, scaled to integers, that no row dominates."""
+    values, groups = _unique_groups(scaled)
+    return _survivors(_dominators(*_componentwise(values, strict)), groups)
 
 
 def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
@@ -163,12 +167,12 @@ def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
 
 def nondominated_set(points) -> list[int]:
     """Indices whose value no other value is <= to (and distinct from)."""
-    return _surviving_indices(_checked(points), strict=False)
+    return _surviving_indices(scaled_rows(_checked(points)), strict=False)
 
 
 def weakly_nondominated_set(points) -> list[int]:
     """Indices whose value no other value beats strictly in every coordinate."""
-    return _surviving_indices(_checked(points), strict=True)
+    return _surviving_indices(scaled_rows(_checked(points)), strict=True)
 
 
 def _tradeoff_bound(values, y0) -> Fraction:
@@ -231,11 +235,9 @@ def properly_nondominated_set(points) -> DominanceReport:
     ratios range over a finite set, so their maximum is a finite bound.
     The report carries that bound per nondominated index.
     """
-    pts = _checked(points)
-    values, groups = _unique_groups(pts)
-    scaled = scaled_rows(values)
-    frontier = _frontier_bounds(groups, scaled)
-    weak = _survivors(_dominators(*_componentwise(scaled, strict=True)), groups)
+    values, groups = _unique_groups(scaled_rows(_checked(points)))
+    frontier = _frontier_bounds(groups, values)
+    weak = _survivors(_dominators(*_componentwise(values, strict=True)), groups)
     nondominated = sorted(i for i, _ in frontier)
     bounds = dict(frontier)
     return DominanceReport(
@@ -261,5 +263,5 @@ def cone_nondominated_set(points, ordering: PolyhedralCone) -> list[int]:
             f"cone dim {ordering.dim} vs point dim {len(pts[0])}"
         )
     direction = strictly_positive_direction(ordering)
-    values, groups = _unique_groups(pts)
+    values, groups = _unique_groups(scaled_rows(pts))
     return _survivors(_dominators(*_cone_order(values, ordering, direction)), groups)

@@ -12,14 +12,17 @@ takes the objective-independent part of a program (``_Template``: the
 constraints scaled to integers once, standardized, plus the phase-1 cost
 row and the bounds) and a list of objectives, each as integer
 numerators over a positive denominator; the two entry points coerce
-their objectives to that form.  For each objective it builds the cost
-row and prices it against every basis kept in the batch, most recent
-first.  The first basis at which the point is provably the unique
-optimum supplies it; when none does, the objective is solved cold.
-Every point is re-substituted by ``_check_outcome`` into the same
-integer rows once, when a cold solve returns it, and only then may its
-basis be kept; a reused point is that same checked tuple, so only its
-new objective value is checked, by ``_check_value``.
+their objectives to that form.  Each objective is priced against every
+basis kept in the batch, most recent first, through the basis's
+reduced-cost map: one integer vector per nonbasic column over the
+caller's variables, whose dot product with the objective's numerators
+is that column's reduced cost times a positive factor.  The first basis
+at which the point is provably the unique optimum supplies it, valued
+at that point; when none does, the objective's cost row is built and it
+is solved cold.  Every point is re-substituted by ``_check_outcome``
+into the same integer rows once, when a cold solve returns it, and only
+then may its basis be kept, after each map has been checked against the
+reduced costs the pivots left in that solve's cost row.
 
 Bounds are standardized only here: a variable is shifted, reflected or
 split (see ``_template``), and every point is read back and checked in
@@ -354,31 +357,24 @@ def active_backend() -> str:
     return "pure"
 
 
-def _check_value(
-    cost: list[int], cost_den: int, xs: list[int], den: int, value: Fraction
-) -> None:
-    """Check ``value`` against the cost of the point ``xs`` / ``den``
-    under the objective ``cost`` / ``cost_den``, between integers."""
-    if sum(map(mul, cost, xs)) * value.denominator != (
-        value.numerator * cost_den * den
-    ):
-        raise InternalInconsistency("objective value mismatch")
-
-
 def _check_outcome(
     template: _Template, cost: list[int], cost_den: int, outcome: LpOutcome
 ) -> tuple[list[int], int]:
     """Re-substitute an optimal outcome into its program, exactly.
 
     ``cost`` over ``cost_den`` is the objective.  The point is scaled by
-    the common denominator of its coordinates, so each equation and
-    inequality of ``template.checks`` is checked between integers with
-    the same truth value it has over the rationals.  Returns the scaled
-    point, (numerators, denominator), for later value checks.
+    the common denominator of its coordinates, so its value and each
+    equation and inequality of ``template.checks`` are checked between
+    integers with the same truth value they have over the rationals.
+    Returns the scaled point, (numerators, denominator), at which a reused
+    outcome is valued.
     """
-    point = outcome.point
+    point, value = outcome.point, outcome.value
     xs, den = common_denominator(point)
-    _check_value(cost, cost_den, xs, den, outcome.value)
+    if sum(map(mul, cost, xs)) * value.denominator != (
+        value.numerator * cost_den * den
+    ):
+        raise InternalInconsistency("objective value mismatch")
     for coeffs, relation, rhs in template.checks:
         lhs = sum(map(mul, coeffs, xs))
         rhs *= den
@@ -408,49 +404,78 @@ def _basic_solution(template: _Template, tableau, basis):
     return x_std, -tableau.get(template.nrows, rhs_col)
 
 
-class _OptimalBasis:
-    """The final basis of an optimal solve, kept with every other basis of
-    its batch to price the later objectives.
+def _reduced_cost_maps(template: _Template, tableau, basis):
+    """The reduced costs at an optimal basis as linear maps of the objective.
 
-    Holds the basic solution as integers over their common denominator;
-    the original point, which ``_check_outcome`` has already passed, with
-    its scaled form; and, for each basic structural variable, its tableau
-    row over the nonbasic real columns, read through the tableau's
-    ``get`` and scaled to integers over one common denominator.
+    A standardized column holds +1 or -1 times one original variable's
+    cost: -1 on a reflected variable's column and on a split variable's
+    second column, +1 otherwise; slack columns cost nothing.  At a fixed
+    basis the reduced cost of column j is c_j minus the sum, over the
+    basic rows r, of the cost of r's basic column times the tableau entry
+    (r, j) (Gass and Saaty 1955), so it is linear in the objective.
+    Returns the nonbasic real columns, the common denominator den_B of
+    the rows with a basic structural column, and for each nonbasic
+    column j an integer vector ``map_j`` over the original variables with
+    map_j . nums == d_j * den_B * den for every objective ``nums`` / ``den``,
+    d_j being column j's reduced cost under that objective.
+    """
+    signs: list[tuple[int, int]] = []
+    for i, (kind, _, _) in enumerate(template.var_map):
+        signs.append((i, -1 if kind == "reflect" else 1))
+        if kind == "split":
+            signs.append((i, -1))
+    basic = set(basis)
+    nonbasic = [j for j in range(template.n_real) if j not in basic]
+    structural = [r for r in range(template.nrows) if basis[r] < template.n_std]
+    den_b = lcm(*(tableau.dens[r] for r in structural))
+    maps = []
+    for j in nonbasic:
+        map_j = [0] * len(template.var_map)
+        if j < template.n_std:
+            i, sign = signs[j]
+            map_j[i] = sign * den_b
+        for r in structural:
+            entry = tableau.nums[r][j]
+            if entry:
+                i, sign = signs[basis[r]]
+                map_j[i] -= sign * entry * (den_b // tableau.dens[r])
+        maps.append(map_j)
+    return nonbasic, maps, den_b
+
+
+class _OptimalBasis:
+    """The final basis of an optimal cold solve, kept with every other
+    basis of its batch to price the later objectives.
+
+    Holds the original point, which ``_check_outcome`` has already passed,
+    with its scaled form, and the basis's reduced-cost maps (see
+    ``_reduced_cost_maps``).  Each map is checked, before the basis can be
+    kept, against the final phase-2 cost row of the solve of ``nums`` /
+    ``den`` that found it: the pivots computed that row, the maps come
+    from a linear combination of the tableau's columns, so a wrong map
+    raises here before it can price any objective.
     """
 
-    def __init__(self, template: _Template, tableau, basis, x_std, point, scaled):
-        self.x_nums, self.x_den = common_denominator(x_std)
+    def __init__(self, template: _Template, tableau, basis, point, scaled, nums, den):
         self.point = point
         self.point_nums, self.point_den = scaled
-        basic = set(basis)
-        self.nonbasic = [j for j in range(template.n_real) if j not in basic]
-        structural = [r for r in range(template.nrows) if basis[r] < template.n_std]
-        self.basic = [basis[r] for r in structural]
-        entries, self.den = common_denominator(
-            [tableau.get(r, j) for r in structural for j in self.nonbasic]
-        )
-        width = len(self.nonbasic)
-        self.columns = [entries[k::width] for k in range(width)]
+        nonbasic, self.maps, den_b = _reduced_cost_maps(template, tableau, basis)
+        costs = tableau.nums[template.nrows]
+        costs_den = tableau.dens[template.nrows]
+        for j, map_j in zip(nonbasic, self.maps):
+            if sum(map(mul, map_j, nums)) * costs_den != costs[j] * den_b * den:
+                raise InternalInconsistency("reduced-cost map disagrees with the tableau")
 
-    def unique_optimum(self, costs: list[int]) -> bool:
-        """Is the basic solution the only optimum of the cost row?
+    def unique_optimum(self, nums: list[int]) -> bool:
+        """Is the point the only optimum of the objective ``nums``?
 
-        ``costs`` are the integer numerators of a standardized cost row;
-        its positive denominator does not change a sign.  True when every
-        nonbasic reduced cost is strictly positive: any other feasible
-        point moves some nonbasic variable off zero and so costs strictly
-        more.  A zero reduced cost (a tie) answers False.
+        ``nums`` are the objective's integer numerators; its positive
+        denominator does not change a sign.  True when every nonbasic
+        reduced cost is strictly positive: any other feasible point moves
+        some nonbasic variable off zero and so costs strictly more.  A
+        zero reduced cost (a tie) answers False.
         """
-        basic_costs = [costs[b] for b in self.basic]
-        for j, column in zip(self.nonbasic, self.columns):
-            if costs[j] * self.den <= sum(map(mul, basic_costs, column)):
-                return False
-        return True
-
-    def value(self, costs: list[int], den: int) -> Fraction:
-        """The cost of the basic solution under the row ``costs`` / ``den``."""
-        return Fraction(sum(map(mul, costs, self.x_nums)), den * self.x_den)
+        return all(sum(map(mul, map_j, nums)) > 0 for map_j in self.maps)
 
 
 def _solve(template: _Template, costs) -> list[LpOutcome]:
@@ -461,29 +486,33 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
     optimal cold solve of a system without artificial variables, when
     another objective follows, the final basis is kept, along with every
     basis kept before it in the batch.  Each later objective is priced
-    at the kept bases, most recent first.  When every nonbasic reduced
-    cost at one of them is strictly positive, its basic solution is the
-    program's unique optimum, so a cold solve would return that same
-    point, whichever basis proves it; it is reused and its value
-    recomputed.  Otherwise, ties (a zero reduced cost at every kept
-    basis) included, the objective is solved from the initial basis.
+    at the kept bases, most recent first, through their reduced-cost
+    maps.  When every nonbasic reduced cost at one of them is strictly
+    positive, its point is the program's unique optimum, so a cold solve
+    would return that same point, whichever basis proves it; it is
+    reused.  Otherwise, ties (a zero reduced cost at every kept basis)
+    included, the objective's cost row is built and it is solved from
+    the initial basis.
 
     Every cold optimal outcome passes ``_check_outcome`` (its value, every
-    constraint and every bound) before its basis is kept.  A reused
+    constraint and every bound) before its basis is kept, and the basis's
+    maps pass their check against that solve's cost row.  A reused
     outcome returns that same point tuple against the same rows and
-    bounds, so its feasibility is already checked and only its new value
-    is checked, by ``_check_value``.  Each check keeps its truth value.
+    bounds, valued at the point's scaled form: the objective
+    re-substituted at a point already checked.  Each check keeps its
+    truth value.
     """
     outcomes = []
     kept: list[_OptimalBasis] = []
     for k, (nums, den) in enumerate(costs):
-        row, offset = _cost_row(template, nums, den)
-        proof = next((b for b in reversed(kept) if b.unique_optimum(row)), None)
+        proof = next((b for b in reversed(kept) if b.unique_optimum(nums)), None)
         if proof is not None:
-            value = proof.value(row, den) + offset
-            _check_value(nums, den, proof.point_nums, proof.point_den, value)
+            value = Fraction(
+                sum(map(mul, nums, proof.point_nums)), den * proof.point_den
+            )
             outcomes.append(LpOutcome(OPTIMAL, value, proof.point))
             continue
+        row, offset = _cost_row(template, nums, den)
         status, tableau, basis = _run(template, row, den)
         if status != OPTIMAL:
             outcomes.append(LpOutcome(status))
@@ -500,7 +529,7 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
         outcome = LpOutcome(OPTIMAL, value_std + offset, point)
         scaled = _check_outcome(template, nums, den, outcome)
         if template.n_art == 0 and k + 1 < len(costs):
-            kept.append(_OptimalBasis(template, tableau, basis, x_std, point, scaled))
+            kept.append(_OptimalBasis(template, tableau, basis, point, scaled, nums, den))
         outcomes.append(outcome)
     return outcomes
 
@@ -522,13 +551,19 @@ def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
     any basis kept in the batch wherever it is provably the unique
     optimum.  Coefficients may be ``int``, ``str`` or ``Fraction``.
     """
-    # an int coefficient is used as it is; as_fraction refuses inexact types
-    costs = [
-        common_denominator(
-            c if isinstance(c, int) else as_fraction(c) for c in objective
-        )
-        for objective in objectives
-    ]
+    costs = []
+    for objective in objectives:
+        objective = list(objective)
+        if all(isinstance(c, int) for c in objective):
+            costs.append((objective, 1))
+        else:
+            # an int coefficient is used as it is; as_fraction refuses
+            # inexact types
+            costs.append(
+                common_denominator(
+                    c if isinstance(c, int) else as_fraction(c) for c in objective
+                )
+            )
     if not costs:
         return []
     n = len(costs[0][0])

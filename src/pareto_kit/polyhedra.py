@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from operator import mul, sub
 
 from .errors import (
@@ -37,6 +38,7 @@ from .errors import (
     InvalidEpsilon,
     MalformedInput,
     NotMember,
+    SizeCap,
 )
 from .hulls import HullSet
 from .numerics import EQ, LE, OPTIMAL, LpOutcome, dot, linprog, lp_solve
@@ -48,6 +50,11 @@ Point = tuple[Fraction, ...]
 # Entries kept by each lru_cache below; a long-running process reuses at
 # most this many polyhedra's verdicts and does not grow past them.
 CACHE_SIZE = 1024
+
+# Most weights a connectivity grid may have: a grid of k in dimension p
+# has comb(k - 1, p - 1) of them, each one minimization, and all are
+# built before the first is solved.
+MAX_GRID_WEIGHTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -257,7 +264,8 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
     its integer composition (n_1, ..., n_p): the positive factor k moves
     no minimizer, only the values, which are not read.  The default
     radius is four times the largest gap between consecutive distinct
-    samples, carried as its square.
+    samples, carried as its square.  A grid with more than
+    ``MAX_GRID_WEIGHTS`` weights raises SizeCap before any is built.
     """
     if grid < 1:
         raise MalformedInput("grid must be at least 1")
@@ -267,6 +275,12 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
         p = source.dim
     else:
         raise MalformedInput("source must be a HullSet or a Polyhedron")
+    weights = comb(grid - 1, p - 1)
+    if weights > MAX_GRID_WEIGHTS:
+        raise SizeCap(
+            f"grid {grid} has {weights} weights in dimension {p}, "
+            f"over the cap {MAX_GRID_WEIGHTS}"
+        )
 
     grid_counts = _compositions(p, grid)
     if not grid_counts:
@@ -291,10 +305,16 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
             raise InternalInconsistency("grid LP over a compact section is not optimal")
         optima = [o.point for o in outcomes]
 
+    # A reused LP outcome, like a hull generator, is the same tuple object
+    # as an earlier optimum: only a point object not met before is
+    # compared by value.
     samples: list[Point] = []
+    met: set[int] = set()
     for point in optima:
-        if point not in samples:
-            samples.append(point)
+        if id(point) not in met:
+            met.add(id(point))
+            if point not in samples:
+                samples.append(point)
 
     if epsilon is not None:
         from .numerics.rational import as_fraction

@@ -95,7 +95,7 @@ def _project(rows, sel: Selector) -> list[tuple]:
 
 
 def _nondominated_labels(inst: MopInstance, projected: list[Point], strict: bool):
-    return [inst.labels[i] for i in _surviving_indices(tuple(projected), strict)]
+    return [inst.labels[i] for i in _surviving_indices(scaled_rows(projected), strict)]
 
 
 def efficient_solutions(inst: MopInstance, rho) -> list[str]:
@@ -117,8 +117,8 @@ def properly_efficient_solutions(inst: MopInstance, rho) -> dict[str, Fraction]:
     set, whose bound is zero by the empty-competitor convention.
     """
     sel = _selector(inst, rho)
-    values, groups = _unique_groups(tuple(_project(inst.objectives, sel)))
-    return {inst.labels[i]: bound for i, bound in _frontier_bounds(groups, scaled_rows(values))}
+    values, groups = _unique_groups(scaled_rows(_project(inst.objectives, sel)))
+    return {inst.labels[i]: bound for i, bound in _frontier_bounds(groups, values)}
 
 
 def all_selectors(p: int) -> list[Selector]:
@@ -142,11 +142,12 @@ class ReducibilityReport:
 def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -> ReducibilityReport:
     """Compare the weakly efficient set against the subproblem unions.
 
-    One strict scan finds the weakly efficient (WE) rows, which are scaled
-    to integers once.  Each selector then groups the projections of those
-    integer rows and runs one non-strict scan, with no bounds: on finite
-    sets proper efficiency equals efficiency, so ``union_pe`` holds the
-    labels of ``union_e`` in value-group order.  Leaving the other rows out
+    The objectives are scaled to integers once, and one strict scan of
+    them finds the weakly efficient (WE) rows.  Each selector then groups
+    the projections of those integer WE rows and runs one non-strict
+    scan, with no bounds: on finite sets proper efficiency equals
+    efficiency, so ``union_pe`` holds the labels of ``union_e`` in
+    value-group order.  Leaving the other rows out
     is exact.  A row that is not WE is strictly beaten in every objective
     by some WE row, so in every projection its value is dominated and no
     value carrying it is nondominated.  A dominated projected value keeps
@@ -159,13 +160,14 @@ def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -
         raise TooManyObjectives(
             f"{inst.p} objectives exceed the enumeration cap {max_objectives}"
         )
-    rows = _surviving_indices(inst.objectives, strict=True)
+    scaled = scaled_rows(inst.objectives)
+    rows = _surviving_indices(scaled, strict=True)
     we = [inst.labels[i] for i in rows]
-    scaled = scaled_rows([inst.objectives[i] for i in rows])
+    we_rows = [scaled[i] for i in rows]
     union_e: dict[str, Selector] = {}
     union_pe: dict[str, Selector] = {}
     for sel in all_selectors(inst.p):
-        values, groups = _unique_groups(tuple(_project(scaled, sel)))
+        values, groups = _unique_groups(_project(we_rows, sel))
         found = _dominators(*_componentwise(values, strict=False))
         frontier = [
             rows[k] for group, j in zip(groups.values(), found) if j is None for k in group

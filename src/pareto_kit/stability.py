@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .cones import PolyhedralCone, _cone_precedes, strictly_positive_direction
 from .dominance import (
@@ -20,9 +21,9 @@ from .dominance import (
     _componentwise,
     _cone_order,
     _dominators,
+    _surviving_indices,
     _unique_groups,
     cone_nondominated_set,
-    nondominated_set,
 )
 from .errors import DimensionMismatch, MalformedInput, NotMember
 from .numerics import dot
@@ -98,9 +99,9 @@ def external_stability_certificate(
     """Map every index to the first index of the value that ``find_dominator``
     (or ``find_dominator_cone``, with its input checks) returns for it."""
     pts = _checked(points)
-    values, groups = _unique_groups(pts)
+    values, groups = _unique_groups(scaled_rows(pts))
     if ordering is None:
-        order = _componentwise(scaled_rows(values), strict=False)
+        order = _componentwise(values, strict=False)
     else:
         if ordering.dim != len(pts[0]):
             raise DimensionMismatch("cone and point dimensions differ")
@@ -129,12 +130,13 @@ def verify_certificate(points, certificate: DominatorCertificate) -> bool:
     assignments = certificate.assignments
     if sorted(assignments) != list(range(len(pts))):
         return False
+    scaled = scaled_rows(pts)
     if certificate.cone is None:
-        frontier = set(nondominated_set(pts))
-        below = lambda j, i: all(x <= y for x, y in zip(pts[j], pts[i]))
+        frontier = set(_surviving_indices(scaled, strict=False))
+        below = lambda j, i: all(map(le, scaled[j], scaled[i]))
     else:
         frontier = set(cone_nondominated_set(pts, certificate.cone))
-        below = _cone_precedes(certificate.cone, scaled_rows(pts))
+        below = _cone_precedes(certificate.cone, scaled)
     for i, j in assignments.items():
         if j not in frontier:
             return False

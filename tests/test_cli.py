@@ -237,6 +237,25 @@ def test_connect_polyhedron_runs_only_the_grid(tmp_path, capsys, monkeypatch):
     assert batches == [7]
 
 
+def test_connect_grid_over_the_cap_exits_one_before_building_it(
+    tmp_path, capsys, monkeypatch
+):
+    # grid 1000000 in dimension 4 has comb(999999, 3), about 1.7e17,
+    # weights; the cap refuses it before any is built
+    from pareto_kit import polyhedra
+
+    def unbuilt(p, k):
+        raise AssertionError(f"built the compositions of {k} into {p} parts")
+
+    monkeypatch.setattr(polyhedra, "_compositions", unbuilt)
+    generators = [[str(int(i == j)) for i in range(4)] for j in range(4)]
+    hull_path = _write(tmp_path, "hull.json", json.dumps({"generators": generators}))
+    assert main(["connect", "--input", hull_path, "--grid", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "cap" in captured.err
+
+
 def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch):
     from pareto_kit import cli, hulls
 

@@ -235,13 +235,15 @@ def test_batch_objective_coercion():
 
 def test_grid_batch_checks_each_cold_point_once(monkeypatch):
     # Every cold optimum passes _check_outcome once; a reused point is the
-    # same tuple, so only its value is checked again.
+    # same tuple, valued at its checked scaled form, and is priced with no
+    # cost row: only a cold solve builds one.
     from pareto_kit.generate import gen_poly
     from pareto_kit.polyhedra import _compositions, _section_minima
 
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     run, check = linprog_module._run, linprog_module._check_outcome
-    optimal_cold, checked = [], []
+    cost_row = linprog_module._cost_row
+    optimal_cold, checked, cost_rows = [], [], []
 
     def counting_run(*args):
         result = run(*args)
@@ -252,19 +254,94 @@ def test_grid_batch_checks_each_cold_point_once(monkeypatch):
         checked.append(args)
         return check(*args)
 
+    def counting_cost_row(*args):
+        cost_rows.append(args)
+        return cost_row(*args)
+
     monkeypatch.setattr(linprog_module, "_run", counting_run)
     monkeypatch.setattr(linprog_module, "_check_outcome", counting_check)
+    monkeypatch.setattr(linprog_module, "_cost_row", counting_cost_row)
     solved = 0
     for p in (2, 3):
         for seed in range(4):
             P, _, anchor = gen_poly(p, 4, 60 + seed, "box")
             weights = _compositions(p, 8)
-            del optimal_cold[:], checked[:]
+            del optimal_cold[:], checked[:], cost_rows[:]
             outcomes = _section_minima(P, anchor, weights)
             assert all(o.status == OPTIMAL for o in outcomes)
             assert len(checked) == sum(optimal_cold) < len(weights)
+            assert len(cost_rows) == len(optimal_cold)
             solved += len(weights)
     assert solved > 100
+
+
+def _every_kind_program(rng, free: bool):
+    """A program over x1 shifted (x1 >= l1), x2 shifted with an upper
+    bound (l2 <= x2 <= u2, a bound row), x3 reflected (x3 <= u3) and x4
+    free (split), or shifted (x4 >= -4) when ``free`` is False.  Box rows
+    keep it bounded, and every row holds with slack at the bases
+    (l1, l2, u3, 0), so no artificial variable is needed and each
+    optimal basis of a batch may be kept.
+    """
+    lo1 = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+    lo2 = Fraction(rng.randint(-4, 4), rng.choice((1, 3)))
+    hi3 = Fraction(rng.randint(-4, 4), 2)
+    base = [lo1, lo2, hi3, 0]
+    rows = [
+        ([1, 0, 0, 0], LE, lo1 + 6),
+        ([0, 0, -1, 0], LE, 6 - hi3),
+        ([0, 0, 0, 1], LE, 4),
+        ([0, 0, 0, -1], LE, 4),
+    ]
+    for _ in range(3):
+        a = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(4)]
+        slack = rng.randint(1, 6)
+        rows.append((a, LE, sum(x * y for x, y in zip(a, base)) + slack))
+    lower = [lo1, lo2, None, None if free else -4]
+    upper = [None, lo2 + rng.randint(1, 5), hi3, None]
+    return rows, lower, upper
+
+
+def test_batch_matches_single_solves_on_every_variable_kind(monkeypatch):
+    # Each kept basis builds its reduced-cost map through the shift,
+    # reflect and split signs and checks it against its own tableau's
+    # cost row.  The two columns of a free variable are negatives of each
+    # other, so one of them always has a zero reduced cost and no basis of
+    # a program with a free variable proves a unique optimum: there the
+    # split signs are exercised by the keep-time check, and reuse by the
+    # same programs with x4 bounded below.
+    from pareto_kit.numerics.linprog import lp_solve_batch
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    run, basis_class = linprog_module._run, linprog_module._OptimalBasis
+    cold, kept = [], []
+
+    def counting_run(*args):
+        cold.append(args)
+        return run(*args)
+
+    def counting_basis(*args):
+        kept.append(args)
+        return basis_class(*args)
+
+    for free in (True, False):
+        rng = random.Random(31)
+        objectives_seen = 0
+        del cold[:], kept[:]
+        for _ in range(12):
+            rows, lower, upper = _every_kind_program(rng, free)
+            objectives = [[rng.randint(-3, 3) or 1 for _ in range(4)] for _ in range(10)]
+            objectives += [[2 * c for c in obj] for obj in objectives[:3]]
+            monkeypatch.setattr(linprog_module, "_run", counting_run)
+            monkeypatch.setattr(linprog_module, "_OptimalBasis", counting_basis)
+            batch = lp_solve_batch(objectives, rows, lower, upper)
+            monkeypatch.undo()
+            singles = [lp_solve(linprog(obj, rows, lower, upper)) for obj in objectives]
+            assert batch == singles
+            objectives_seen += len(objectives)
+        assert kept
+        reused = objectives_seen - len(cold)
+        assert reused == 0 if free else reused > 0
 
 
 def test_optimal_point_satisfies_constraints_exactly():
@@ -314,13 +391,15 @@ def test_batch_objective_of_wrong_length_is_rejected():
 
 
 def _planted_outcome_routes():
-    """Plant a wrong optimal value on each route through the LP driver (a
-    cold single solve, a cold batch solve, a point reused from the last
-    kept basis, and one reused from an older kept basis) and require
-    InternalInconsistency on each.  Then plant an infeasible point of the
-    right value on the first and on the second cold solve of a batch: it
-    must be caught before its basis is kept, so before any objective
-    reuses it, while the basis checked before it stays kept.
+    """Plant a wrong optimal value on each cold route through the LP driver
+    (a single solve and a batch solve), and an off-by-one entry in the
+    reduced-cost map of the last kept basis and of an older one, and
+    require InternalInconsistency on each; a wrong map must raise when
+    its basis is kept, before it prices any objective.  Then plant an
+    infeasible point of the right value on the first and on the second
+    cold solve of a batch: it must be caught before its basis is kept,
+    so before any objective reuses it, while the basis checked before it
+    stays kept.
 
     Patches by hand and raises instead of asserting, so that it checks
     the same under ``python -O``.
@@ -383,8 +462,39 @@ def _planted_outcome_routes():
 
         return wrapper
 
-    def off_by_one_value(value):
-        return lambda self, *args: value(self, *args) + 1
+    priced = []
+
+    def off_by_one_map(variable):
+        # the first map of the first kept basis gains 1 on one variable,
+        # which each planted objective weighs with a nonzero coefficient
+        def replacement(reduced_cost_maps):
+            calls = []
+
+            def wrapper(*args):
+                nonbasic, maps, den_b = reduced_cost_maps(*args)
+                calls.append(args)
+                if len(calls) == 1:
+                    maps[0][variable] += 1
+                return nonbasic, maps, den_b
+
+            return wrapper
+
+        return replacement
+
+    def pricing_recorded(solve):
+        # every objective priced at a kept basis goes to ``priced``
+        def wrapper():
+            unique_optimum = linprog_module._OptimalBasis.unique_optimum
+            del priced[:]
+            linprog_module._OptimalBasis.unique_optimum = lambda self, nums: (
+                priced.append(nums) or unique_optimum(self, nums)
+            )
+            try:
+                return solve()
+            finally:
+                linprog_module._OptimalBasis.unique_optimum = unique_optimum
+
+        return wrapper
 
     routes = {
         "cold single": (
@@ -399,23 +509,28 @@ def _planted_outcome_routes():
             off_by_one_solution,
             lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
         ),
-        "reused basis": (
-            linprog_module._OptimalBasis,
-            "value",
-            off_by_one_value,
-            lambda: lp_solve_batch(objectives, rows, lower=[0, 0]),
+        # the second objective reuses the only, so the last, kept basis
+        "map of the last kept basis": (
+            linprog_module,
+            "_reduced_cost_maps",
+            off_by_one_map(1),
+            pricing_recorded(lambda: lp_solve_batch(objectives, rows, lower=[0, 0])),
         ),
-        "reused older basis": (
-            linprog_module._OptimalBasis,
-            "value",
-            off_by_one_value,
-            lambda: lp_solve_batch(returning, rows, lower=[0, 0]),
+        # the third objective skips the second kept basis and reuses the
+        # first, older one
+        "map of an older kept basis": (
+            linprog_module,
+            "_reduced_cost_maps",
+            off_by_one_map(0),
+            pricing_recorded(lambda: lp_solve_batch(returning, rows, lower=[0, 0])),
         ),
     }
     for route, (owner, name, replacement, solve) in routes.items():
         try:
             patched(owner, name, replacement, solve)
         except InternalInconsistency:
+            if route.startswith("map") and priced:
+                raise AssertionError(f"{route}: a wrong map priced {priced}") from None
             continue
         raise AssertionError(f"{route}: a planted wrong outcome was returned")
 
