@@ -12,17 +12,22 @@ takes the objective-independent part of a program (``_Template``: the
 constraints scaled to integers once, standardized, plus the phase-1 cost
 row and the bounds) and a list of objectives, each as integer
 numerators over a positive denominator; the two entry points coerce
-their objectives to that form.  Each objective is priced against every
-basis kept in the batch, most recent first, through the basis's
+their objectives to that form.  A basis kept in the batch holds its
 reduced-cost map: one integer vector per nonbasic column over the
 caller's variables, whose dot product with the objective's numerators
-is that column's reduced cost times a positive factor.  The first basis
-at which the point is provably the unique optimum supplies it, valued
-at that point; when none does, the objective's cost row is built and it
-is solved cold.  Every point is re-substituted by ``_check_outcome``
-into the same integer rows once, when a cold solve returns it, and only
-then may its basis be kept, after each map has been checked against the
-reduced costs the pivots left in that solve's cost row.
+is that column's reduced cost times a positive factor.  Three rules
+answer an objective without a solve, each with a point that a cold
+solve would also return (see ``_solve``): a cold solve that shows the
+program has one feasible point answers the rest of the batch; a basis
+whose maps cover every positive objective answers those; any other
+objective is priced at the kept bases, and the first one at which the
+point is provably the unique optimum supplies it.  An answered
+objective is valued at its point; when no rule answers, the
+objective's cost row is built and it is solved cold.  Every point is
+re-substituted by ``_check_outcome`` into the same integer rows once,
+when a cold solve returns it, and only then may a rule read it or its
+basis be kept, after each map has been checked against the reduced
+costs the pivots left in that solve's cost row.
 
 Bounds are standardized only here: a variable is shifted, reflected or
 split (see ``_template``), and every point is read back and checked in
@@ -407,40 +412,54 @@ def _basic_solution(template: _Template, tableau, basis):
 def _reduced_cost_maps(template: _Template, tableau, basis):
     """The reduced costs at an optimal basis as linear maps of the objective.
 
-    A standardized column holds +1 or -1 times one original variable's
-    cost: -1 on a reflected variable's column and on a split variable's
-    second column, +1 otherwise; slack columns cost nothing.  At a fixed
-    basis the reduced cost of column j is c_j minus the sum, over the
-    basic rows r, of the cost of r's basic column times the tableau entry
-    (r, j) (Gass and Saaty 1955), so it is linear in the objective.
+    The template splits no variable, so structural column i is variable
+    i, and it costs -1 times the variable's cost when the variable is
+    reflected, +1 times it otherwise; slack columns cost nothing.  At a
+    fixed basis the reduced cost of column j is c_j minus the sum, over
+    the basic rows r, of the cost of r's basic column times the tableau
+    entry (r, j) (Gass and Saaty 1955), so it is linear in the objective.
     Returns the nonbasic real columns, the common denominator den_B of
     the rows with a basic structural column, and for each nonbasic
     column j an integer vector ``map_j`` over the original variables with
     map_j . nums == d_j * den_B * den for every objective ``nums`` / ``den``,
     d_j being column j's reduced cost under that objective.
     """
-    signs: list[tuple[int, int]] = []
-    for i, (kind, _, _) in enumerate(template.var_map):
-        signs.append((i, -1 if kind == "reflect" else 1))
-        if kind == "split":
-            signs.append((i, -1))
+    signs = [-1 if kind == "reflect" else 1 for kind, _, _ in template.var_map]
     basic = set(basis)
     nonbasic = [j for j in range(template.n_real) if j not in basic]
     structural = [r for r in range(template.nrows) if basis[r] < template.n_std]
     den_b = lcm(*(tableau.dens[r] for r in structural))
     maps = []
     for j in nonbasic:
-        map_j = [0] * len(template.var_map)
+        map_j = [0] * len(signs)
         if j < template.n_std:
-            i, sign = signs[j]
-            map_j[i] = sign * den_b
+            map_j[j] = signs[j] * den_b
         for r in structural:
             entry = tableau.nums[r][j]
             if entry:
-                i, sign = signs[basis[r]]
-                map_j[i] -= sign * entry * (den_b // tableau.dens[r])
+                i = basis[r]
+                map_j[i] -= signs[i] * entry * (den_b // tableau.dens[r])
         maps.append(map_j)
     return nonbasic, maps, den_b
+
+
+def _covering(maps) -> bool:
+    """Does every map have no negative entry and at least one positive one?
+
+    Then every objective with all-positive numerators gives each column
+    a reduced cost that is a sum of nonnegative terms, one of them
+    positive: the basis proves it a unique optimum.  A map of zeros (a
+    tie whatever the objective) never covers.
+    """
+    return all(min(map_j) >= 0 and max(map_j) > 0 for map_j in maps)
+
+
+def _at_point(point, scaled, nums: list[int], den: int) -> LpOutcome:
+    """``point`` as the optimum of the objective ``nums`` / ``den``, valued
+    by re-substituting the objective at its checked scaled form
+    ``scaled``, (numerators, denominator)."""
+    xs, xs_den = scaled
+    return LpOutcome(OPTIMAL, Fraction(sum(map(mul, nums, xs)), den * xs_den), point)
 
 
 class _OptimalBasis:
@@ -458,7 +477,7 @@ class _OptimalBasis:
 
     def __init__(self, template: _Template, tableau, basis, point, scaled, nums, den):
         self.point = point
-        self.point_nums, self.point_den = scaled
+        self.scaled = scaled
         nonbasic, self.maps, den_b = _reduced_cost_maps(template, tableau, basis)
         costs = tableau.nums[template.nrows]
         costs_den = tableau.dens[template.nrows]
@@ -482,35 +501,63 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
     """Minimize each objective of ``costs`` over the template's program.
 
     ``costs`` is a list of objectives, each a pair (numerators,
-    denominator) of integers with a positive denominator.  After an
-    optimal cold solve of a system without artificial variables, when
-    another objective follows, the final basis is kept, along with every
-    basis kept before it in the batch.  Each later objective is priced
-    at the kept bases, most recent first, through their reduced-cost
-    maps.  When every nonbasic reduced cost at one of them is strictly
-    positive, its point is the program's unique optimum, so a cold solve
-    would return that same point, whichever basis proves it; it is
-    reused.  Otherwise, ties (a zero reduced cost at every kept basis)
-    included, the objective's cost row is built and it is solved from
-    the initial basis.
+    denominator) of integers with a positive denominator.  An objective
+    is answered without a solve by one of three rules, each of which
+    hands out only a point that a cold solve would also return:
+
+    1. One-point program.  When a cold solve ends at the base point
+       (every standardized structural variable at zero) and its cost is
+       negative on every structural column, the program has that one
+       feasible point: optimality at s = 0 gives c' . s >= 0 for every
+       feasible s, while c' < 0 and s >= 0 give c' . s <= 0, with
+       equality only at s = 0.  That point answers every later objective,
+       whatever its signs.  A split variable's two columns cost n and -n,
+       so a program with one never passes the sign test.
+    2. Covering basis.  The first kept basis whose maps are covering
+       (see ``_covering``) answers every objective with all-positive
+       numerators with no dot product: it proves each one's unique
+       optimum.
+    3. Otherwise the objective is priced through the reduced-cost maps,
+       first at the kept basis that supplied the latest reused point,
+       then at the other kept bases, most recent first.  When every
+       nonbasic reduced cost at one of them is strictly positive, its
+       point is the unique optimum, so a cold solve would return it
+       whichever basis proves it; it is reused.
+
+    Otherwise, ties (a zero reduced cost at every kept basis) included,
+    the objective's cost row is built and it is solved from the initial
+    basis.  After an optimal cold solve, when another objective follows,
+    the final basis is kept, provided the system has no artificial
+    variable and splits no variable: a split variable's two columns are
+    negatives of each other, so one of them always has a zero reduced
+    cost and no such basis proves a unique optimum.
 
     Every cold optimal outcome passes ``_check_outcome`` (its value, every
-    constraint and every bound) before its basis is kept, and the basis's
-    maps pass their check against that solve's cost row.  A reused
-    outcome returns that same point tuple against the same rows and
-    bounds, valued at the point's scaled form: the objective
-    re-substituted at a point already checked.  Each check keeps its
-    truth value.
+    constraint and every bound) before rule 1 reads its point or its
+    basis is kept, and the basis's maps pass their check against that
+    solve's cost row.  A reused outcome returns that same point tuple
+    against the same rows and bounds, valued at the point's scaled form:
+    the objective re-substituted at a point already checked.  Each check
+    keeps its truth value.
     """
     outcomes = []
     kept: list[_OptimalBasis] = []
+    cover = last = None
+    # a split variable takes two standardized columns
+    keep = template.n_art == 0 and template.n_std == len(template.var_map)
     for k, (nums, den) in enumerate(costs):
-        proof = next((b for b in reversed(kept) if b.unique_optimum(nums)), None)
-        if proof is not None:
-            value = Fraction(
-                sum(map(mul, nums, proof.point_nums)), den * proof.point_den
+        if cover is not None and min(nums) > 0:
+            proof = cover
+        elif last is not None and last.unique_optimum(nums):
+            proof = last
+        else:
+            proof = next(
+                (b for b in reversed(kept) if b is not last and b.unique_optimum(nums)),
+                None,
             )
-            outcomes.append(LpOutcome(OPTIMAL, value, proof.point))
+        if proof is not None:
+            last = proof
+            outcomes.append(_at_point(proof.point, proof.scaled, nums, den))
             continue
         row, offset = _cost_row(template, nums, den)
         status, tableau, basis = _run(template, row, den)
@@ -528,9 +575,16 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
         )
         outcome = LpOutcome(OPTIMAL, value_std + offset, point)
         scaled = _check_outcome(template, nums, den, outcome)
-        if template.n_art == 0 and k + 1 < len(costs):
-            kept.append(_OptimalBasis(template, tableau, basis, point, scaled, nums, den))
         outcomes.append(outcome)
+        if k + 1 == len(costs):
+            break
+        if not any(x_std) and all(c < 0 for c in row[: template.n_std]):
+            outcomes.extend(_at_point(point, scaled, *cost) for cost in costs[k + 1 :])
+            break
+        if keep:
+            kept.append(_OptimalBasis(template, tableau, basis, point, scaled, nums, den))
+            if cover is None and _covering(kept[-1].maps):
+                cover = kept[-1]
     return outcomes
 
 

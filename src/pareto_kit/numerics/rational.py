@@ -15,12 +15,17 @@ from ..errors import DimensionMismatch, MalformedInput, MalformedNumber, ZeroDen
 
 Rational = Fraction
 
+# Largest decimal exponent magnitude accepted, Python's own default limit
+# on the digits of an int: "1e999999999" would otherwise build 10**999999999.
+MAX_EXPONENT = 4300
+
 
 def rational_parse(text: str) -> Fraction:
     """Parse ``"a/b"``, integer, or decimal text into an exact Fraction.
 
     Decimal strings are expanded exactly ("0.1" becomes 1/10, never the
-    nearest binary float).
+    nearest binary float).  An exponent of magnitude over
+    ``MAX_EXPONENT`` is refused before any power of ten is built.
     """
     if not isinstance(text, str):
         raise MalformedNumber(f"expected a string, got {type(text).__name__}")
@@ -35,6 +40,14 @@ def rational_parse(text: str) -> Fraction:
         if den == 0:
             raise ZeroDenominator(f"zero denominator in {text!r}")
         return Fraction(num, den)
+    _, e, exponent = s.lower().partition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:  # not an exponent: Fraction refuses the text
+            too_large = False
+        if too_large:
+            raise MalformedNumber(f"exponent out of range in {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):

@@ -368,6 +368,15 @@ def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
     assert reused[3] == reused[5]
 
 
+def test_poly_refuses_a_huge_exponent(tmp_path, capsys):
+    for text in ("1e5000", "1e-5000"):
+        data = {"A": [["1", "0"], ["0", text]], "b": ["1", "1"]}
+        path = _write(tmp_path, "poly.json", json.dumps(data))
+        assert main(["poly", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["nondom", "--input", "/nonexistent/file.csv"]) == 1
     assert "error" in capsys.readouterr().err

@@ -63,6 +63,29 @@ def test_parse_errors():
         rational_parse(1.5)
 
 
+def test_parse_refuses_a_huge_exponent_before_building_it(monkeypatch):
+    from pareto_kit.numerics import rational
+
+    built = []
+    fraction = rational.Fraction
+
+    def recording(*args):
+        built.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(rational, "Fraction", recording)
+    for text in ("1e5000", "1e-5000", " 2.5E+5000 ", f"1e{rational.MAX_EXPONENT + 1}"):
+        with pytest.raises(MalformedNumber):
+            rational_parse(text)
+    assert built == []
+    monkeypatch.undo()
+    assert rational_parse("1e3") == 1000
+    assert rational_parse("2.5E-2") == Fraction(1, 40)
+    assert rational_parse(" 5 ") == 5
+    limit = rational.MAX_EXPONENT
+    assert rational_parse(f"1e-{limit}") == Fraction(1, 10**limit)
+
+
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
 @settings(max_examples=200, deadline=None)
 def test_parse_format_round_trip(num, den):
@@ -303,13 +326,13 @@ def _every_kind_program(rng, free: bool):
 
 
 def test_batch_matches_single_solves_on_every_variable_kind(monkeypatch):
-    # Each kept basis builds its reduced-cost map through the shift,
-    # reflect and split signs and checks it against its own tableau's
-    # cost row.  The two columns of a free variable are negatives of each
-    # other, so one of them always has a zero reduced cost and no basis of
-    # a program with a free variable proves a unique optimum: there the
-    # split signs are exercised by the keep-time check, and reuse by the
-    # same programs with x4 bounded below.
+    # Each kept basis builds its reduced-cost map through the shift and
+    # reflect signs and checks it against its own tableau's cost row.  The
+    # two columns of a free variable are negatives of each other, so one
+    # of them always has a zero reduced cost and no basis of a program
+    # with a free variable could prove a unique optimum: such a batch
+    # keeps no basis and solves every objective cold, and reuse is
+    # exercised by the same programs with x4 bounded below.
     from pareto_kit.numerics.linprog import lp_solve_batch
 
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
@@ -339,9 +362,81 @@ def test_batch_matches_single_solves_on_every_variable_kind(monkeypatch):
             singles = [lp_solve(linprog(obj, rows, lower, upper)) for obj in objectives]
             assert batch == singles
             objectives_seen += len(objectives)
-        assert kept
+        assert not kept if free else kept
         reused = objectives_seen - len(cold)
         assert reused == 0 if free else reused > 0
+
+
+def _counted_batch(monkeypatch, objectives, rows, **bounds):
+    """The cold solves and the pricings of one ``lp_solve_batch`` call,
+    whose outcomes must equal one ``lp_solve`` per objective."""
+    from pareto_kit.numerics.linprog import lp_solve_batch
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    basis_class = linprog_module._OptimalBasis
+    run, unique_optimum = linprog_module._run, basis_class.unique_optimum
+    cold, priced = [], []
+    monkeypatch.setattr(linprog_module, "_run", lambda *a: cold.append(a) or run(*a))
+    monkeypatch.setattr(
+        basis_class,
+        "unique_optimum",
+        lambda basis, nums: priced.append(tuple(nums)) or unique_optimum(basis, nums),
+    )
+    batch = lp_solve_batch(objectives, rows, **bounds)
+    monkeypatch.undo()
+    assert batch == [lp_solve(linprog(obj, rows, **bounds)) for obj in objectives]
+    return cold, priced
+
+
+def test_one_point_program_answers_its_batch_after_one_cold_solve(monkeypatch):
+    # Below the anchor (1, 1, 1), which y1 + y2 + y3 >= 3 leaves
+    # nondominated, the section {y : y <= anchor} is that one point, a
+    # degenerate vertex where all three rows are tight.  The first
+    # weight's cold solve ends at the base point s = 0 of y = anchor - s
+    # and costs every reflected column -n_i < 0, so every later
+    # objective, positive, with a zero entry or of mixed sign, gets that
+    # point with no solve and no pricing.
+    rows = [([-1, -1, -1], LE, -3), ([-1, -2, 0], LE, -3), ([0, -1, -2], LE, -3)]
+    objectives = [[1, 2, 3], [4, 1, 1], [0, 1, 0], [0, 0, 0], [1, -2, 3], [-1, -1, -1]]
+    cold, priced = _counted_batch(monkeypatch, objectives, rows, upper=[1, 1, 1])
+    assert len(cold) == 1 and priced == []
+
+    # Below (2, 2) in the quadrant y >= 0 the section is a square.  The
+    # weight (0, -1) also ends its cold solve at the base point (2, 2),
+    # but costs y1's column 0, which proves no single point: (1, 1) is
+    # solved cold, at (0, 0).
+    rows = [([-1, 0], LE, 0), ([0, -1], LE, 0)]
+    cold, _ = _counted_batch(monkeypatch, [[0, -1], [1, 1], [-1, -1]], rows, upper=[2, 2])
+    assert len(cold) == 2
+
+    # A free variable x = s - t costs n and -n on its two columns, so it
+    # never passes the sign test: -x ends its cold solve at the base point
+    # x = 0 under x <= 0, and x itself is then solved cold, at -3.
+    cold, _ = _counted_batch(monkeypatch, [[-1], [1]], [([1], LE, 0), ([-1], LE, 3)])
+    assert len(cold) == 2
+
+
+def test_covering_basis_answers_positive_objectives_without_pricing(monkeypatch):
+    # The square [0, 2]^2 as y >= 0 below the upper bound (2, 2).  The
+    # optimum (0, 0) of (1, 1) leaves the two row slacks nonbasic, with
+    # maps (1, 0) and (0, 1) times a positive factor: the basis covers,
+    # and every positive objective gets (0, 0) with no dot product.  An
+    # objective with a zero entry ties along an edge and one of mixed
+    # sign has another optimum: both are priced, and solved cold where no
+    # kept basis proves their own optimum.
+    rows = [([-1, 0], LE, 0), ([0, -1], LE, 0)]
+    objectives = [[1, 1], [2, 3], [1, 0], [5, 1], [0, 1], [1, -1], [1, 7]]
+    cold, priced = _counted_batch(monkeypatch, objectives, rows, upper=[2, 2])
+    assert set(priced) == {(1, 0), (0, 1), (1, -1)}
+    assert len(cold) == 3
+
+
+def test_a_map_of_zeros_never_covers():
+    covering = importlib.import_module("pareto_kit.numerics.linprog")._covering
+    assert covering([[1, 0], [0, 3]])
+    assert not covering([[1, 0], [0, 0]])
+    assert not covering([[0, 0, 0]])
+    assert not covering([[2, 1], [1, -1]])
 
 
 def test_optimal_point_satisfies_constraints_exactly():
