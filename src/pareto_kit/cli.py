@@ -16,14 +16,9 @@ from pathlib import Path
 from . import io as kio
 from .cones import cone_from_json
 from .dominance import PointSet, properly_nondominated_set
-from .errors import InternalInconsistency, MalformedInput, ParetoKitError
+from .errors import InternalInconsistency, MalformedInput, NotInHull, ParetoKitError
 from .generate import POLY_FAMILIES, gen_finite, gen_hull, gen_poly
-from .hulls import (
-    _nondominated,
-    _properly_nondominated,
-    _strict_dominator,
-    hull_contains,
-)
+from .hulls import _nondominated, _properly_nondominated, _strict_dominator
 from .numerics import active_backend, rational_format, rational_parse
 from .polyhedra import (
     frontier_sample_connected,
@@ -152,28 +147,35 @@ def _cmd_hull(args) -> int:
         raise MalformedInput("provide --query or --queries")
     records = []
     for q in queries:
-        inside = hull_contains(hull_set, q)
         entry = {
             "point": kio.format_point(q),
-            "in_hull": inside,
+            "in_hull": True,
             "weakly_nondominated": None,
             "nondominated": None,
             "properly_nondominated": None,
             "weight_witness": None,
         }
-        if inside and _strict_dominator(hull_set, q) is not None:
-            # a checked strict dominator makes y0 neither nondominated nor
-            # properly nondominated, so neither LP is solved
-            entry.update(
-                weakly_nondominated=False, nondominated=False, properly_nondominated=False
-            )
-        elif inside:
-            entry["weakly_nondominated"] = True
-            entry["nondominated"] = _nondominated(hull_set, q)
-            proper = _properly_nondominated(hull_set, q)
-            entry["properly_nondominated"] = proper.verdict
-            if proper.witness is not None:
-                entry["weight_witness"] = kio.format_point(proper.witness)
+        try:
+            # membership is the first objective of the weak program
+            dominator = _strict_dominator(hull_set, q)
+        except NotInHull:
+            entry["in_hull"] = False
+        else:
+            if dominator is not None:
+                # a checked strict dominator makes y0 neither nondominated
+                # nor properly nondominated, so neither LP is solved
+                entry.update(
+                    weakly_nondominated=False,
+                    nondominated=False,
+                    properly_nondominated=False,
+                )
+            else:
+                entry["weakly_nondominated"] = True
+                entry["nondominated"] = _nondominated(hull_set, q)
+                proper = _properly_nondominated(hull_set, q)
+                entry["properly_nondominated"] = proper.verdict
+                if proper.witness is not None:
+                    entry["weight_witness"] = kio.format_point(proper.witness)
         records.append(entry)
     _emit(kio.dump_json({"queries": records}), args.output)
     return 0

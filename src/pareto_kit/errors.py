@@ -78,7 +78,8 @@ class InvalidEpsilon(ParetoKitError):
 
 
 class SizeCap(ParetoKitError):
-    """A generator size parameter is outside its supported range."""
+    """A size (a generator parameter, a grid, the digits of a number to
+    write out) is outside its supported range."""
 
 
 class InternalInconsistency(ParetoKitError):

@@ -12,7 +12,19 @@ takes the objective-independent part of a program (``_Template``: the
 constraints scaled to integers once, standardized, plus the phase-1 cost
 row and the bounds) and a list of objectives, each as integer
 numerators over a positive denominator; the two entry points coerce
-their objectives to that form.  A basis kept in the batch holds its
+their objectives to that form.
+
+Phase 1 runs once per batch (``_phase1``): its pivots are chosen from
+the phase-1 cost row and the constraint rows alone, so it depends only
+on the constraints (Chvatal 1983, Linear Programming, ch. 8).  Each cold
+solve starts phase 2 (``_run``) at the basis phase 1 ended at, after
+reducing its objective's cost row there.  That reduced row, in lowest
+terms, is the row that carrying the cost row through phase 1's pivots
+would leave, so the phase-2 pivots, points and values are those of a
+solve of its own, and a batch still equals ``lp_solve`` per objective.
+An INFEASIBLE phase 1 answers every objective of the batch.
+
+A basis kept in the batch holds its
 reduced-cost map: one integer vector per nonbasic column over the
 caller's variables, whose dot product with the objective's numerators
 is that column's reduced cost times a positive factor.  Three rules
@@ -55,19 +67,19 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """Minimize objective . x subject to rows and optional variable bounds."""
 
-    objective: tuple[Fraction, ...]
+    objective: tuple[int | Fraction, ...]
     constraints: tuple[Constraint, ...]
-    lower: tuple[Fraction | None, ...] | None = None
-    upper: tuple[Fraction | None, ...] | None = None
+    lower: tuple[int | Fraction | None, ...] | None = None
+    upper: tuple[int | Fraction | None, ...] | None = None
 
     def __post_init__(self):
         n = len(self.objective)
@@ -92,21 +104,28 @@ class LpOutcome:
     point: tuple[Fraction, ...] | None = None
 
 
-def linprog(objective, rows, lower=None, upper=None) -> LinearProgram:
-    """Build a LinearProgram, coercing int/str entries to exact fractions.
+def _exact(value):
+    """An ``int`` as it is (it has the ``numerator`` and ``denominator``
+    that ``_template`` reads), anything else through ``as_fraction``."""
+    return value if isinstance(value, int) else as_fraction(value)
 
-    ``rows`` is an iterable of (coefficients, relation, rhs) triples.
+
+def linprog(objective, rows, lower=None, upper=None) -> LinearProgram:
+    """Build a LinearProgram, coercing str entries to exact fractions.
+
+    ``rows`` is an iterable of (coefficients, relation, rhs) triples.  An
+    ``int`` entry is kept as it is.
     """
-    obj = tuple(as_fraction(c) for c in objective)
+    obj = tuple(map(_exact, objective))
     cons = tuple(
-        Constraint(tuple(as_fraction(c) for c in coeffs), rel, as_fraction(rhs))
+        Constraint(tuple(map(_exact, coeffs)), rel, _exact(rhs))
         for coeffs, rel, rhs in rows
     )
 
     def _bounds(values):
         if values is None:
             return None
-        return tuple(None if v is None else as_fraction(v) for v in values)
+        return tuple(None if v is None else _exact(v) for v in values)
 
     return LinearProgram(obj, cons, _bounds(lower), _bounds(upper))
 
@@ -306,47 +325,75 @@ def _cost_row(template: _Template, nums: list[int], den: int):
     return row, Fraction(offset, den * template.base_den) if offset else _ZERO
 
 
-def _run(template: _Template, cost_row: list[int], cost_den: int):
-    """Two-phase Bland simplex; returns (status, final tableau, basis).
+def _phase1(template: _Template):
+    """Phase 1 of the two-phase Bland simplex; returns the constraint rows,
+    their denominators and the basis it ends at, or None when the program
+    is INFEASIBLE.
 
-    The tableau holds the template's rows, then the phase-2 cost row
-    ``cost_row`` over ``cost_den``, then the phase-1 cost row; the shared
-    row lists are never mutated in place.  The tableau and basis are
-    returned only for an OPTIMAL status.
+    The tableau holds the template's rows, then the phase-1 cost row.
+    Each entering column is chosen from the phase-1 row and each leaving
+    row from the constraint rows, so phase 1 depends on the constraints
+    alone and one run serves every objective over them.  Degenerate
+    artificials still basic at value zero are then pivoted out.  With no
+    artificial variable the template's own rows and initial basis are
+    handed back; the shared row lists are never mutated in place.
     """
+    if not template.n_art:
+        return template.rows, template.dens, template.basis
     tableau = _simplex_py.Tableau(
-        template.rows + [cost_row, template.cost1],
-        template.dens + [cost_den, template.cost1_den],
+        template.rows + [template.cost1], template.dens + [template.cost1_den]
     )
     m = template.nrows
-    rhs_col = tableau.ncols - 1
     basis = list(template.basis)
-    phase2_row, phase1_row = m, m + 1
-
-    if template.n_art:
-        while True:
-            col = tableau.entering(phase1_row, template.n_real)
-            if col < 0:
-                break
-            row = tableau.leaving(col, m, basis)
-            if row < 0:  # phase-1 objective is bounded below by zero
-                raise InternalInconsistency("phase-1 column with no positive entry")
-            tableau.pivot(row, col, m + 2)
-            basis[row] = col
-        if tableau.get(phase1_row, rhs_col) < 0:
-            return INFEASIBLE, None, None
-        # Degenerate artificials still basic at value zero: pivot them out
-        # on any nonzero real column; a row with none is inert (its basic
-        # artificial can never change value again).
-        for r in range(m):
-            if basis[r] >= template.n_real:
-                col = tableau.first_nonzero(r, template.n_real)
-                if col >= 0:
-                    tableau.pivot(r, col, m + 2)
-                    basis[r] = col
-
     while True:
-        col = tableau.entering(phase2_row, template.n_real)
+        col = tableau.entering(m, template.n_real)
+        if col < 0:
+            break
+        row = tableau.leaving(col, m, basis)
+        if row < 0:  # phase-1 objective is bounded below by zero
+            raise InternalInconsistency("phase-1 column with no positive entry")
+        tableau.pivot(row, col, m + 1)
+        basis[row] = col
+    if tableau.get(m, tableau.ncols - 1) < 0:
+        return None
+    # Pivot each degenerate artificial out on any nonzero real column; a
+    # row with none is inert (its basic artificial can never change value
+    # again).  The phase-1 row is not read again.
+    for r in range(m):
+        if basis[r] >= template.n_real:
+            col = tableau.first_nonzero(r, template.n_real)
+            if col >= 0:
+                tableau.pivot(r, col, m)
+                basis[r] = col
+    return tableau.nums[:m], tableau.dens[:m], basis
+
+
+def _run(template: _Template, start, cost_row: list[int], cost_den: int):
+    """Phase 2 from the phase-1 result ``start``; returns (status, final
+    tableau, basis), the tableau and basis only for an OPTIMAL status.
+
+    The phase-2 cost row ``cost_row`` over ``cost_den`` is first reduced
+    at the basis of ``start``: each basic column is a unit column, so
+    subtracting its cost times its row leaves the reduced costs c - c_B
+    B^-1 A and the negated value in the right-hand-side column.  Brought
+    to lowest terms, that is the one row a tableau in this form can hold
+    there, the row that carrying the cost row through phase 1's pivots
+    would leave.
+    """
+    rows, dens, basis = start
+    for r, col in enumerate(basis):
+        c = cost_row[col]
+        if c:
+            # the basic entry of row r is dens[r] over dens[r], one
+            d = dens[r]
+            cost_row, cost_den = _lowest(
+                [x * d - c * y for x, y in zip(cost_row, rows[r])], cost_den * d
+            )
+    tableau = _simplex_py.Tableau(rows + [cost_row], dens + [cost_den])
+    m = template.nrows
+    basis = list(basis)
+    while True:
+        col = tableau.entering(m, template.n_real)
         if col < 0:
             break
         row = tableau.leaving(col, m, basis)
@@ -397,6 +444,20 @@ def _check_outcome(
         if hi is not None and x > hi:
             raise InternalInconsistency("upper bound violated")
     return xs, den
+
+
+def _read_back(var_map: list[tuple], x_std) -> tuple[Fraction, ...]:
+    """The standardized point ``x_std`` in the caller's variables: base + s
+    for a shifted variable, base - s for a reflected one, s - t for a
+    split one.  A zero base adds nothing, so no sum is formed for it."""
+    point = []
+    for kind, col, base in var_map:
+        if kind == "split":
+            point.append(x_std[col] - x_std[col + 1])
+        else:
+            s = x_std[col] if kind == "shift" else -x_std[col]
+            point.append(base + s if base else s)
+    return tuple(point)
 
 
 def _basic_solution(template: _Template, tableau, basis):
@@ -525,8 +586,11 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
        whichever basis proves it; it is reused.
 
     Otherwise, ties (a zero reduced cost at every kept basis) included,
-    the objective's cost row is built and it is solved from the initial
-    basis.  After an optimal cold solve, when another objective follows,
+    the objective's cost row is built and it is solved cold: phase 2
+    from the basis that the batch's one phase 1 ended at (see ``_run``).
+    ``_phase1`` runs before the first objective, which is always solved
+    cold; when it finds the program INFEASIBLE, so is every objective.
+    After an optimal cold solve, when another objective follows,
     the final basis is kept, provided the system has no artificial
     variable and splits no variable: a split variable's two columns are
     negatives of each other, so one of them always has a zero reduced
@@ -540,6 +604,9 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
     the objective re-substituted at a point already checked.  Each check
     keeps its truth value.
     """
+    start = _phase1(template)
+    if start is None:
+        return [LpOutcome(INFEASIBLE) for _ in costs]
     outcomes = []
     kept: list[_OptimalBasis] = []
     cover = last = None
@@ -560,19 +627,12 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
             outcomes.append(_at_point(proof.point, proof.scaled, nums, den))
             continue
         row, offset = _cost_row(template, nums, den)
-        status, tableau, basis = _run(template, row, den)
+        status, tableau, basis = _run(template, start, row, den)
         if status != OPTIMAL:
             outcomes.append(LpOutcome(status))
             continue
         x_std, value_std = _basic_solution(template, tableau, basis)
-        point = tuple(
-            base + x_std[col]
-            if kind == "shift"
-            else base - x_std[col]
-            if kind == "reflect"
-            else x_std[col] - x_std[col + 1]
-            for kind, col, base in template.var_map
-        )
+        point = _read_back(template.var_map, x_std)
         outcome = LpOutcome(OPTIMAL, value_std + offset, point)
         scaled = _check_outcome(template, nums, den, outcome)
         outcomes.append(outcome)
@@ -611,13 +671,7 @@ def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
         if all(isinstance(c, int) for c in objective):
             costs.append((objective, 1))
         else:
-            # an int coefficient is used as it is; as_fraction refuses
-            # inexact types
-            costs.append(
-                common_denominator(
-                    c if isinstance(c, int) else as_fraction(c) for c in objective
-                )
-            )
+            costs.append(common_denominator(map(_exact, objective)))
     if not costs:
         return []
     n = len(costs[0][0])

@@ -11,7 +11,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from ..errors import DimensionMismatch, MalformedInput, MalformedNumber, ZeroDenominator
+from ..errors import (
+    DimensionMismatch,
+    MalformedInput,
+    MalformedNumber,
+    SizeCap,
+    ZeroDenominator,
+)
 
 Rational = Fraction
 
@@ -55,10 +61,17 @@ def rational_parse(text: str) -> Fraction:
 
 
 def rational_format(value: Fraction) -> str:
-    """Canonical text form: ``"a"`` for integers, ``"a/b"`` otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical text form: ``"a"`` for integers, ``"a/b"`` otherwise.
+
+    A numerator or denominator longer than Python's limit on the digits
+    of an int as text raises ``SizeCap``.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # int-to-text conversion over the digit limit
+        raise SizeCap("a number has too many digits to write out") from None
 
 
 def as_fraction(value) -> Fraction:

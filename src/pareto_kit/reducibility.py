@@ -35,7 +35,7 @@ from .errors import (
     TooManyObjectives,
     ZeroWeights,
 )
-from .hulls import HullSet, _gate, _properly_nondominated, _strict_dominator
+from .hulls import HullSet, _properly_nondominated, _strict_dominator
 from .numerics.rational import as_matrix, as_point, dot, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
@@ -237,7 +237,8 @@ def hull_reducibility_check(
     selectors = all_selectors(w.dim)
 
     def check_one(query) -> HullReducibilityRecord:
-        point = _gate(w, query)
+        point = as_point(query)
+        # raises NotInHull for a non-member, DimensionMismatch for a wrong width
         if _strict_dominator(w, point) is not None:
             return HullReducibilityRecord(point, False, False, None)
         for sel in selectors:

@@ -256,18 +256,35 @@ def test_connect_grid_over_the_cap_exits_one_before_building_it(
     assert captured.err.startswith("error:") and "cap" in captured.err
 
 
+def _count_calls(monkeypatch, sites):
+    """Count the calls of each (module, name) in ``sites``, by name, and
+    the batches in ``lp_solve_batch`` calls by their first objective's width."""
+    from collections import Counter
+
+    calls = Counter()
+    for module, name in sites:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            if _name == "lp_solve_batch":
+                calls[f"width {len(args[0][0])}"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch):
-    from pareto_kit import cli, hulls
+    # in_hull comes from the weak program, whose first objective is
+    # membership: one weak program per query (2 generators plus delta),
+    # and no separate membership LP
+    from pareto_kit import hulls
 
-    calls = []
-    real = hulls.hull_contains
-
-    def counted(w, y0):
-        calls.append(y0)
-        return real(w, y0)
-
-    monkeypatch.setattr(hulls, "hull_contains", counted)
-    monkeypatch.setattr(cli, "hull_contains", counted)
+    calls = _count_calls(
+        monkeypatch,
+        [(hulls, "hull_contains"), (hulls, "_gate"), (hulls, "lp_solve_batch")],
+    )
     hull_path = _write(
         tmp_path, "hull.json", json.dumps({"generators": [["1", "0"], ["0", "1"]]})
     )
@@ -276,7 +293,8 @@ def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch)
     data = json.loads(capsys.readouterr().out)
     assert [q["in_hull"] for q in data["queries"]] == [True, False]
     assert data["queries"][0]["properly_nondominated"]
-    assert len(calls) == 2
+    assert calls["hull_contains"] == calls["_gate"] == 0
+    assert calls["width 3"] == 2
 
 
 def test_connect_writes_tsv(tmp_path, capsys):
@@ -377,6 +395,15 @@ def test_poly_refuses_a_huge_exponent(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_a_number_too_long_to_write_exits_one(tmp_path, capsys):
+    # "1e4300" parses (4,301 digits), but no report can write it out
+    path = _write(tmp_path, "hull.json", json.dumps({"generators": [["1e4300", "0"]]}))
+    assert main(["hull", "--input", path, "--query", "1e4300,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "digits" in captured.err
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["nondom", "--input", "/nonexistent/file.csv"]) == 1
     assert "error" in capsys.readouterr().err
@@ -407,18 +434,24 @@ def test_connectivity_tsv_shape():
 
 
 def test_dominated_hull_query_solves_two_lps(tmp_path, capsys, monkeypatch):
-    # membership and the weak LP; its checked dominator settles the
-    # nondominance and proper-nondominance verdicts without their LPs
+    # one program: membership and the weak objective over one template
+    # and one phase 1; its checked dominator settles the nondominance and
+    # proper-nondominance verdicts without their LPs
+    import importlib
+
     from pareto_kit import hulls
 
-    calls = []
-    real = hulls.lp_solve
-
-    def counted(lp):
-        calls.append(lp)
-        return real(lp)
-
-    monkeypatch.setattr(hulls, "lp_solve", counted)
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    calls = _count_calls(
+        monkeypatch,
+        [
+            (hulls, "lp_solve"),
+            (hulls, "lp_solve_batch"),
+            (linprog_module, "_template"),
+            (linprog_module, "_phase1"),
+            (linprog_module, "_run"),
+        ],
+    )
     hull_path = _write(
         tmp_path,
         "hull.json",
@@ -430,4 +463,10 @@ def test_dominated_hull_query_solves_two_lps(tmp_path, capsys, monkeypatch):
     assert entry["nondominated"] is False
     assert entry["properly_nondominated"] is False
     assert entry["weight_witness"] is None
-    assert len(calls) == 2
+    assert calls == {
+        "lp_solve_batch": 1,
+        "width 4": 1,
+        "_template": 1,
+        "_phase1": 1,
+        "_run": 2,
+    }

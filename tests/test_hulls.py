@@ -132,13 +132,23 @@ def test_grid_sampling_never_beats_weak_points():
 
 
 def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
-    # both LPs have an optimum on every member query; a planted
-    # non-optimal status must raise, also under python -O
+    # the membership objective and both verdicts have an optimum on every
+    # member query; a planted non-optimal status of either objective of
+    # the batch must raise, also under python -O
     w = hull([(1, 0), (0, 1)])
-    monkeypatch.setattr(hulls, "lp_solve", lambda lp: LpOutcome(UNBOUNDED))
-    for decide in (hulls._strict_dominator, hulls._nondominated):
-        with pytest.raises(InternalInconsistency):
-            decide(w, (HALF, HALF))
+    real = hulls.lp_solve_batch
+    verdicts = (hulls._strict_dominator, hulls._nondominated)
+    for planted, deciders in ((0, (hull_contains, *verdicts)), (1, verdicts)):
+
+        def solve(objectives, rows, lower=None, upper=None):
+            outcomes = real(objectives, rows, lower, upper)
+            outcomes[planted] = LpOutcome(UNBOUNDED)
+            return outcomes
+
+        monkeypatch.setattr(hulls, "lp_solve_batch", solve)
+        for decide in deciders:
+            with pytest.raises(InternalInconsistency):
+                decide(w, (HALF, HALF))
 
 
 def test_isermann_nondominated_hull_points_are_proper():
@@ -209,14 +219,20 @@ def _planted_dominator_routes(tmp_dir):
         # a negative weight: z = (1/4, 1/4), mu sums to 1
         (Fraction(3, 4), Fraction(3, 4), Fraction(-1, 2), HALF),
     ]
-    real = hulls.lp_solve
+    real = hulls.lp_solve_batch
 
     def plant(mu_delta):
         outcome = LpOutcome(OPTIMAL, -mu_delta[-1], tuple(map(Fraction, mu_delta)))
-        # the weak LP is the only one with a variable per generator plus delta
-        hulls.lp_solve = lambda lp: (
-            outcome if len(lp.objective) == len(w.generators) + 1 else real(lp)
-        )
+
+        def solve(objectives, rows, lower=None, upper=None):
+            outcomes = real(objectives, rows, lower, upper)
+            # the weak program is the only one with a variable per
+            # generator plus delta; its second objective maximizes delta
+            if len(objectives[0]) == len(w.generators) + 1:
+                outcomes[1] = outcome
+            return outcomes
+
+        hulls.lp_solve_batch = solve
 
     try:
         for mu_delta in bad:
@@ -234,14 +250,15 @@ def _planted_dominator_routes(tmp_dir):
         if hull_reducibility_check(w, [(1, 0)])[0].witness != (2,):
             raise AssertionError("a delta = 0 optimum skipped the subproblems")
     finally:
-        hulls.lp_solve = real
+        hulls.lp_solve_batch = real
 
 
 def test_planted_dominator_raises(tmp_path, capsys):
     _planted_dominator_routes(tmp_path)
 
 
-def test_planted_dominator_raises_under_python_O(tmp_path):
+def _under_python_O(call: str):
+    """Run ``test_hulls.<call>`` in a fresh ``python -O`` interpreter."""
     import os
     import subprocess
     import sys
@@ -256,7 +273,7 @@ def test_planted_dominator_raises_under_python_O(tmp_path):
         "import sys, test_hulls\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit('not running under -O')\n"
-        f"test_hulls._planted_dominator_routes({str(tmp_path)!r})\n"
+        f"test_hulls.{call}\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -265,3 +282,125 @@ def test_planted_dominator_raises_under_python_O(tmp_path):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_planted_dominator_raises_under_python_O(tmp_path):
+    _under_python_O(f"_planted_dominator_routes({str(tmp_path)!r})")
+
+
+def _equality_row_member(w, y0) -> bool:
+    """The membership LP that hull_contains solved before membership
+    became an objective: convex weights with sum_k mu_k w_k = y0 row by
+    row, kept here as an oracle."""
+    from pareto_kit.numerics import EQ, OPTIMAL, linprog, lp_solve
+
+    m = len(w.generators)
+    rows = [([g[i] for g in w.generators], EQ, y0[i]) for i in range(w.dim)]
+    rows.append(([1] * m, EQ, 1))
+    return lp_solve(linprog([0] * m, rows, lower=[0] * m)).status == OPTIMAL
+
+
+def test_contains_matches_the_equality_row_lp():
+    # members, generators, points below the hull (no hull point under
+    # them: the program is INFEASIBLE) and points of conv(W) + R^p_+
+    # outside conv(W) (a hull point under them, none equal)
+    rng = random.Random(53)
+    seen = {True: 0, False: 0}
+    for trial in range(40):
+        p = rng.randint(2, 4)
+        w = gen_hull(p, rng.randint(1, 8), trial + 900)
+        lows = [min(g[j] for g in w.generators) for j in range(p)]
+        points = gen_hull_queries(w, 3, trial + 900) + list(w.generators)
+        for q in gen_hull_queries(w, 3, trial + 950):
+            points.append(tuple(x - 1 for x in q))
+            points.append(tuple(lo - 1 for lo in lows))
+            bump = [Fraction(rng.randint(0, 3), 2) for _ in range(p)]
+            bump[rng.randrange(p)] += 1
+            points.append(tuple(x + b for x, b in zip(q, bump)))
+        for q in points:
+            member = hull_contains(w, q)
+            assert member == _equality_row_member(w, q)
+            seen[member] += 1
+    assert min(seen.values()) > 100
+
+
+def test_every_classifier_refuses_a_non_member():
+    from pareto_kit import hull_reducibility_check
+
+    w = hull([(1, 0), (0, 1), (1, 1)])
+    # below the hull, and above it in conv(W) + R^2_+
+    for y0 in ((0, 0), (2, 2)):
+        for decide in (
+            hull_is_weakly_nondominated,
+            hull_is_nondominated,
+            hull_is_properly_nondominated,
+            hulls._strict_dominator,
+            hulls._nondominated,
+            lambda w, y0: hull_reducibility_check(w, [y0]),
+        ):
+            with pytest.raises(NotInHull):
+                decide(w, y0)
+
+
+def _planted_membership_routes(tmp_dir):
+    """Plant membership optima with the right value, sum y0, whose weights
+    do not give y0, and require every route to refuse them.
+
+    Patches by hand and raises instead of asserting, so that it checks
+    the same under ``python -O``.
+    """
+    import json
+
+    from pareto_kit import cli, hull_reducibility_check
+
+    w = hull([(1, 0), (0, 1)])
+    query = (HALF, HALF)
+    path = f"{tmp_dir}/hull.json"
+    with open(path, "w") as fh:
+        json.dump({"generators": [["1", "0"], ["0", "1"]]}, fh)
+
+    def cli_route():
+        if cli.main(["hull", "--input", path, "--query", "1/2,1/2"]) == 1:
+            raise InternalInconsistency("hull --query exited 1")
+
+    routes = [
+        lambda: hull_contains(w, query),
+        lambda: hull_is_weakly_nondominated(w, query),
+        lambda: hull_is_nondominated(w, query),
+        lambda: hull_is_properly_nondominated(w, query),
+        lambda: hull_reducibility_check(w, [query]),
+        cli_route,
+    ]
+    real = hulls.lp_solve_batch
+
+    def plant(mu):
+        def solve(objectives, rows, lower=None, upper=None):
+            outcomes = real(objectives, rows, lower, upper)
+            right = outcomes[0]
+            # the optimal value, at weights mu (and delta = 0) that give
+            # a vertex instead of y0
+            point = tuple(map(Fraction, mu)) + (Fraction(0),) * (len(right.point) - 2)
+            outcomes[0] = LpOutcome(right.status, right.value, point)
+            return outcomes
+
+        hulls.lp_solve_batch = solve
+
+    try:
+        for mu in ((1, 0), (0, 1)):
+            plant(mu)
+            for route in routes:
+                try:
+                    route()
+                except InternalInconsistency:
+                    continue
+                raise AssertionError(f"planted membership weights {mu} were used")
+    finally:
+        hulls.lp_solve_batch = real
+
+
+def test_planted_membership_weights_raise(tmp_path, capsys):
+    _planted_membership_routes(tmp_path)
+
+
+def test_planted_membership_weights_raise_under_python_O(tmp_path):
+    _under_python_O(f"_planted_membership_routes({str(tmp_path)!r})")

@@ -28,6 +28,7 @@ from pareto_kit.numerics import (
     rational_format,
     rational_parse,
 )
+from pareto_kit.numerics.linprog import lp_solve_batch
 from pareto_kit.numerics.rational import common_denominator
 
 from oracles import oracle_lp_minimum
@@ -84,6 +85,17 @@ def test_parse_refuses_a_huge_exponent_before_building_it(monkeypatch):
     assert rational_parse(" 5 ") == 5
     limit = rational.MAX_EXPONENT
     assert rational_parse(f"1e-{limit}") == Fraction(1, 10**limit)
+
+
+def test_format_refuses_a_number_too_long_to_write():
+    from pareto_kit.errors import SizeCap
+    from pareto_kit.numerics import rational
+
+    huge = rational_parse(f"1e{rational.MAX_EXPONENT}")
+    for value in (huge, -huge, 1 / huge, huge + Fraction(1, 3)):
+        with pytest.raises(SizeCap):
+            rational_format(value)
+    assert rational_format(huge / 10) == "1" + "0" * (rational.MAX_EXPONENT - 1)
 
 
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
@@ -219,6 +231,103 @@ def test_batch_solve_matches_individual_solves(monkeypatch):
     assert batch == singles
     assert [o.point for o in batch] == [(0, 4), (4, 0), (0, 4)]
     assert len(cold_solves) == 2
+
+
+def _random_phase1_program(rng):
+    """A bounded program over x >= 0 with an EQ row first, then rows of
+    any relation, their right-hand sides mostly negative, so that phase 1
+    has at least one artificial variable; sometimes infeasible."""
+    n = rng.randint(2, 4)
+    rows = [([1] * n, LE, rng.randint(3, 8))]
+    for rel in [EQ] + [rng.choice((EQ, GE, LE)) for _ in range(rng.randint(0, 2))]:
+        a = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        rows.append((a, rel, Fraction(rng.randint(-4, 2), rng.choice((1, 2)))))
+    return n, rows
+
+
+def test_batch_runs_phase_1_once_over_eq_rows_and_negative_rhs(monkeypatch):
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    phase1, cold = [], []
+    real_phase1, real_run = linprog_module._phase1, linprog_module._run
+
+    def counting_phase1(template):
+        phase1.append(template.n_art)
+        return real_phase1(template)
+
+    def counting_run(*args):
+        cold.append(args)
+        return real_run(*args)
+
+    rng = random.Random(61)
+    statuses = set()
+    for _ in range(120):
+        n, rows = _random_phase1_program(rng)
+        objectives = [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+            for _ in range(4)
+        ]
+        del phase1[:], cold[:]
+        monkeypatch.setattr(linprog_module, "_phase1", counting_phase1)
+        monkeypatch.setattr(linprog_module, "_run", counting_run)
+        batch = lp_solve_batch(objectives, rows, lower=[0] * n)
+        monkeypatch.undo()
+        singles = [lp_solve(linprog(obj, rows, lower=[0] * n)) for obj in objectives]
+        assert batch == singles
+        assert len(phase1) == 1 and phase1[0] > 0
+        if batch[0].status == INFEASIBLE:
+            # one phase 1 shows it, for every objective, with no phase 2
+            assert all(o.status == INFEASIBLE for o in batch) and not cold
+        statuses.update(o.status for o in batch)
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_phase_2_starts_from_the_row_phase_1_would_have_carried(monkeypatch):
+    # Carry the phase-2 cost row through phase 1's pivots, as one tableau
+    # holding both cost rows does, and compare it, entry by entry and in
+    # the same lowest terms, with the row that ``_run`` reduces at the
+    # basis phase 1 hands over.
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    simplex = linprog_module._simplex_py
+    started = []
+
+    class Recording(simplex.Tableau):
+        def __init__(self, nums, dens):
+            super().__init__(nums, dens)
+            started.append((list(self.nums[-1]), self.dens[-1]))
+
+    monkeypatch.setattr(simplex, "Tableau", Recording)
+    rng = random.Random(67)
+    compared = 0
+    for _ in range(120):
+        n, rows = _random_phase1_program(rng)
+        nums = [rng.randint(-3, 3) for _ in range(n)]
+        template = linprog_module._template(linprog([0] * n, rows, lower=[0] * n))
+        start = linprog_module._phase1(template)
+        if start is None:
+            continue
+        cost_row, _ = linprog_module._cost_row(template, nums, 1)
+        del started[:]
+        linprog_module._run(template, start, cost_row, 1)
+        m = template.nrows
+        carried = Recording(
+            template.rows + [cost_row, template.cost1],
+            template.dens + [1, template.cost1_den],
+        )
+        basis = list(template.basis)
+        while (col := carried.entering(m + 1, template.n_real)) >= 0:
+            row = carried.leaving(col, m, basis)
+            carried.pivot(row, col, m + 2)
+            basis[row] = col
+        for r in range(m):
+            if basis[r] >= template.n_real:
+                col = carried.first_nonzero(r, template.n_real)
+                if col >= 0:
+                    carried.pivot(r, col, m + 2)
+                    basis[r] = col
+        assert basis == start[2]
+        assert started[0] == (carried.nums[m], carried.dens[m])
+        compared += 1
+    assert compared > 50
 
 
 def test_section_minima_match_single_solves_on_every_family():

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -248,21 +250,38 @@ def test_hull_reducibility_subset_route_as_oracle():
     assert _check_against_subset_route(73, 4, 80) > 10
 
 
+def _count_calls(monkeypatch, sites):
+    """Count the calls of each (module, name) in ``sites``, by name."""
+    calls = Counter()
+    for module, name in sites:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
-    # p = 4: one membership LP and one weak LP, where solving every
-    # selector's subproblem would take 2 + 15
-    calls = []
-    real = hulls.lp_solve
-
-    def counted(lp):
-        calls.append(lp)
-        return real(lp)
-
-    monkeypatch.setattr(hulls, "lp_solve", counted)
+    # p = 4: one program, membership and the weak objective over one
+    # template and one phase 1, where solving every selector's
+    # subproblem would take 15 more LPs
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    calls = _count_calls(
+        monkeypatch,
+        [
+            (hulls, "lp_solve"),
+            (hulls, "lp_solve_batch"),
+            (linprog_module, "_template"),
+            (linprog_module, "_phase1"),
+        ],
+    )
     w = hull([(0, 0, 0, 0), (2, 2, 2, 2)])
     (record,) = hull_reducibility_check(w, [(1, 1, 1, 1)])
     assert (record.lhs, record.rhs, record.witness) == (False, False, None)
-    assert len(calls) == 2
+    assert calls == {"lp_solve_batch": 1, "_template": 1, "_phase1": 1}
 
 
 def test_instance_json_round_trip():
