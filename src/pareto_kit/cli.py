@@ -18,7 +18,7 @@ from .cones import cone_from_json
 from .dominance import PointSet, properly_nondominated_set
 from .errors import InternalInconsistency, MalformedInput, NotInHull, ParetoKitError
 from .generate import POLY_FAMILIES, gen_finite, gen_hull, gen_poly
-from .hulls import _nondominated, _properly_nondominated, _strict_dominator
+from .hulls import hull_is_properly_nondominated, hull_is_weakly_nondominated
 from .numerics import active_backend, rational_format, rational_parse
 from .polyhedra import (
     frontier_sample_connected,
@@ -157,25 +157,22 @@ def _cmd_hull(args) -> int:
         }
         try:
             # membership is the first objective of the weak program
-            dominator = _strict_dominator(hull_set, q)
+            weak = hull_is_weakly_nondominated(hull_set, q)
         except NotInHull:
             entry["in_hull"] = False
         else:
-            if dominator is not None:
-                # a checked strict dominator makes y0 neither nondominated
-                # nor properly nondominated, so neither LP is solved
-                entry.update(
-                    weakly_nondominated=False,
-                    nondominated=False,
-                    properly_nondominated=False,
-                )
-            else:
-                entry["weakly_nondominated"] = True
-                entry["nondominated"] = _nondominated(hull_set, q)
-                proper = _properly_nondominated(hull_set, q)
-                entry["properly_nondominated"] = proper.verdict
-                if proper.witness is not None:
-                    entry["weight_witness"] = kio.format_point(proper.witness)
+            # a checked strict dominator makes y0 neither nondominated nor
+            # properly nondominated, so no other LP is solved; otherwise one
+            # call decides both, which coincide on a polytope
+            witness = None
+            if weak:
+                witness = hull_is_properly_nondominated(hull_set, q).witness
+            entry.update(
+                weakly_nondominated=weak,
+                nondominated=witness is not None,
+                properly_nondominated=witness is not None,
+                weight_witness=_optional_point(witness),
+            )
         records.append(entry)
     _emit(kio.dump_json({"queries": records}), args.output)
     return 0

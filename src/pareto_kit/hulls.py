@@ -24,12 +24,12 @@ non-member raises NotInHull.
   properly nondominated in any subproblem,
 * nondominance: minimize the coordinate sum of z; the query is
   nondominated iff the optimum equals its own sum,
-* proper nondominance: feasibility of weights lambda >= 1 with
-  lambda . (w - y0) >= 0 for every generator w; the scaling lambda >= 1
+* proper nondominance equals nondominance on a polytope (Isermann
+  1974), so the nondominance program decides it.  A nondominated query
+  takes its witness from weights lambda >= 1 with lambda . (w - y0) >= 0
+  for every generator w, which must then exist; the scaling lambda >= 1
   stands in for strict positivity, which the defining inequalities allow
-  because they are positively homogeneous in lambda.  This LP has other
-  variables and rows, so the membership program is solved alone in
-  front of it (``_gate``), as it is for ``hull_contains``.
+  because they are positively homogeneous in lambda.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, EmptySet, InternalInconsistency, NotInHull
-from .numerics import EQ, GE, INFEASIBLE, LE, OPTIMAL, linprog, lp_solve
+from .numerics import EQ, GE, INFEASIBLE, LE, OPTIMAL, linprog, lp_solve, rational_format
 from .numerics.linprog import lp_solve_batch
 from .numerics.rational import as_matrix, as_point, common_denominator, scaled_rows
 
@@ -135,20 +135,14 @@ def hull_contains(w: HullSet, y0) -> bool:
     return _program(w, _query(w, y0))[0]
 
 
-def _gate(w: HullSet, y0) -> Point:
-    point = _query(w, y0)
-    if not hull_contains(w, point):
-        raise NotInHull(f"query point {point} is outside the hull")
-    return point
-
-
 def _verdict(w: HullSet, y0, verdict: str):
     """The membership program of y0 with ``verdict``'s objective; raises
     NotInHull for a non-member, and unless the verdict is OPTIMAL."""
     point = _query(w, y0)
     member, gens, target, outcome = _program(w, point, verdict)
     if not member:
-        raise NotInHull(f"query point {point} is outside the hull")
+        text = ", ".join(map(rational_format, point))
+        raise NotInHull(f"query point ({text}) is outside the hull")
     if outcome.status != OPTIMAL:  # y0 itself is feasible and the hull compact
         raise InternalInconsistency(f"{verdict} LP is not optimal")
     return point, gens, target, outcome
@@ -179,15 +173,11 @@ def hull_is_weakly_nondominated(w: HullSet, y0) -> bool:
     return _strict_dominator(w, y0) is None
 
 
-def _nondominated(w: HullSet, y0) -> bool:
+def hull_is_nondominated(w: HullSet, y0) -> bool:
     """Is the member y0 nondominated: does no hull point below it have a
     smaller coordinate sum?  Raises NotInHull for a non-member."""
     _, _, target, outcome = _verdict(w, y0, _SUM)
     return outcome.value == sum(target)
-
-
-def hull_is_nondominated(w: HullSet, y0) -> bool:
-    return _nondominated(w, y0)
 
 
 @dataclass(frozen=True)
@@ -197,15 +187,23 @@ class ProperVerdict:
 
 
 def _properly_nondominated(w: HullSet, point: Point) -> ProperVerdict:
-    p = w.dim
-    rows = [
-        ([g[j] - point[j] for j in range(p)], GE, 0) for g in w.generators
-    ]
-    outcome = lp_solve(linprog([0] * p, rows, lower=[1] * p))
+    """Feasibility of the weights lambda for a member ``point``, over W and
+    the point scaled to integers: the notion hull reducibility tests."""
+    *gens, target = scaled_rows([*w.generators, point])
+    rows = [([a - y for a, y in zip(g, target)], GE, 0) for g in gens]
+    outcome = lp_solve(linprog([0] * w.dim, rows, lower=[1] * w.dim))
     if outcome.status != OPTIMAL:
         return ProperVerdict(False, None)
     return ProperVerdict(True, outcome.point)
 
 
 def hull_is_properly_nondominated(w: HullSet, y0) -> ProperVerdict:
-    return _properly_nondominated(w, _gate(w, y0))
+    """Decided by the nondominance program; a nondominated member takes
+    its witness from the lambda LP, which raises if it is infeasible."""
+    point, _, target, outcome = _verdict(w, y0, _SUM)
+    if outcome.value != sum(target):
+        return ProperVerdict(False, None)
+    proper = _properly_nondominated(w, point)
+    if not proper.verdict:
+        raise InternalInconsistency("a nondominated hull point has no proper weights")
+    return proper

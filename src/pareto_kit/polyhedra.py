@@ -116,23 +116,21 @@ def recession_cone(P: Polyhedron) -> RecessionCone:
     """The recession cone of a nonempty P, with a few sampled rays.
 
     Rays are found by minimizing +-1 times each coordinate over the cone
-    intersected with the unit box; nonzero optima are kept.
+    intersected with the unit box, as one batch over the same rows;
+    nonzero optima are kept.
     """
     _require_nonempty(P)
     p = P.dim
     rows = [(list(row), LE, 0) for row in P.A]
+    objectives = [
+        [sign if j == i else 0 for j in range(p)] for i in range(p) for sign in (1, -1)
+    ]
     rays: list[Point] = []
-    for i in range(p):
-        for sign in (1, -1):
-            objective = [0] * p
-            objective[i] = sign
-            outcome = lp_solve(
-                linprog(objective, rows, lower=[-1] * p, upper=[1] * p)
-            )
-            if outcome.status != OPTIMAL:  # the unit box is compact
-                raise InternalInconsistency("recession-ray LP is not optimal")
-            if outcome.value < 0 and outcome.point not in rays:
-                rays.append(outcome.point)
+    for outcome in lp_solve_batch(objectives, rows, lower=[-1] * p, upper=[1] * p):
+        if outcome.status != OPTIMAL:  # the unit box is compact
+            raise InternalInconsistency("recession-ray LP is not optimal")
+        if outcome.value < 0 and outcome.point not in rays:
+            rays.append(outcome.point)
     return RecessionCone(P.A, tuple(rays))
 
 

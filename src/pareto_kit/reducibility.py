@@ -234,17 +234,19 @@ def hull_reducibility_check(
         raise TooManyObjectives(
             f"{w.dim} objectives exceed the enumeration cap {max_objectives}"
         )
-    selectors = all_selectors(w.dim)
+    subproblems = [
+        (sel, HullSet(tuple(_project(w.generators, sel))))
+        for sel in all_selectors(w.dim)
+    ]
 
     def check_one(query) -> HullReducibilityRecord:
         point = as_point(query)
         # raises NotInHull for a non-member, DimensionMismatch for a wrong width
         if _strict_dominator(w, point) is not None:
             return HullReducibilityRecord(point, False, False, None)
-        for sel in selectors:
+        for sel, sub_hull in subproblems:
             # projections of hull members stay in the projected hull, so
-            # the membership gate can be skipped here
-            sub_hull = HullSet(tuple(_project(w.generators, sel)))
+            # membership is not solved again here
             sub_query = tuple(point[i - 1] for i in sel)
             if _properly_nondominated(sub_hull, sub_query).verdict:
                 return HullReducibilityRecord(point, True, True, sel)

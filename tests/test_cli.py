@@ -278,12 +278,13 @@ def _count_calls(monkeypatch, sites):
 def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch):
     # in_hull comes from the weak program, whose first objective is
     # membership: one weak program per query (2 generators plus delta),
-    # and no separate membership LP
+    # and no separate membership LP; the member then solves one
+    # nondominance program (2 generators) and one weight LP
     from pareto_kit import hulls
 
     calls = _count_calls(
         monkeypatch,
-        [(hulls, "hull_contains"), (hulls, "_gate"), (hulls, "lp_solve_batch")],
+        [(hulls, "hull_contains"), (hulls, "lp_solve_batch"), (hulls, "lp_solve")],
     )
     hull_path = _write(
         tmp_path, "hull.json", json.dumps({"generators": [["1", "0"], ["0", "1"]]})
@@ -293,8 +294,10 @@ def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch)
     data = json.loads(capsys.readouterr().out)
     assert [q["in_hull"] for q in data["queries"]] == [True, False]
     assert data["queries"][0]["properly_nondominated"]
-    assert calls["hull_contains"] == calls["_gate"] == 0
+    assert calls["hull_contains"] == 0
     assert calls["width 3"] == 2
+    assert calls["width 2"] == calls["lp_solve"] == 1
+    assert calls["lp_solve_batch"] == 3
 
 
 def test_connect_writes_tsv(tmp_path, capsys):
@@ -402,6 +405,30 @@ def test_a_number_too_long_to_write_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
     assert "digits" in captured.err
+
+
+def test_hull_reduce_non_member_too_long_to_write_exits_one(tmp_path, capsys):
+    # the non-member message writes the query with rational_format, which
+    # refuses a number of more than 4,300 digits as a domain error
+    generators = [["1e4300", "0"], ["0", "1"]]
+    path = _write(tmp_path, "hull.json", json.dumps({"generators": generators}))
+    queries = _write(tmp_path, "q.csv", "y1,y2\n2e4300,0\n")
+    argv = ["reduce", "--mode", "hull", "--input", path, "--queries", queries]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "digits" in captured.err and "Traceback" not in captured.err
+
+
+def test_hull_reduce_non_member_message(tmp_path, capsys):
+    path = _write(
+        tmp_path, "hull.json", json.dumps({"generators": [["1", "0"], ["0", "1"]]})
+    )
+    queries = _write(tmp_path, "q.csv", "y1,y2\n1/2,1/2\n0,-1/3\n")
+    argv = ["reduce", "--mode", "hull", "--input", path, "--queries", queries]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: query point (0, -1/3) is outside the hull\n"
 
 
 def test_missing_file_exits_one(capsys):

@@ -137,7 +137,11 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
     # the batch must raise, also under python -O
     w = hull([(1, 0), (0, 1)])
     real = hulls.lp_solve_batch
-    verdicts = (hulls._strict_dominator, hulls._nondominated)
+    verdicts = (
+        hulls._strict_dominator,
+        hull_is_nondominated,
+        hull_is_properly_nondominated,
+    )
     for planted, deciders in ((0, (hull_contains, *verdicts)), (1, verdicts)):
 
         def solve(objectives, rows, lower=None, upper=None):
@@ -153,15 +157,15 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
 
 def test_isermann_nondominated_hull_points_are_proper():
     # a polytope's nondominated points are all properly nondominated
-    # (Isermann 1974); the two verdicts come from separate LPs, so their
-    # agreement is a measurement, not a tautology
+    # (Isermann 1974); lambda feasibility and the nondominance program are
+    # separate LPs, so their agreement is a measurement, not a tautology
     rng = random.Random(43)
     seen = {True: 0, False: 0}
     for trial in range(100):
         p = rng.randint(2, 4)
         w = gen_hull(p, rng.randint(1, 10), trial + 500)
         for q in gen_hull_queries(w, 4, trial + 500) + list(w.generators):
-            nd = hulls._nondominated(w, q)
+            nd = hull_is_nondominated(w, q)
             assert hulls._properly_nondominated(w, q).verdict == nd
             seen[nd] += 1
     assert min(seen.values()) > 200
@@ -335,7 +339,6 @@ def test_every_classifier_refuses_a_non_member():
             hull_is_nondominated,
             hull_is_properly_nondominated,
             hulls._strict_dominator,
-            hulls._nondominated,
             lambda w, y0: hull_reducibility_check(w, [y0]),
         ):
             with pytest.raises(NotInHull):
@@ -404,3 +407,69 @@ def test_planted_membership_weights_raise(tmp_path, capsys):
 
 def test_planted_membership_weights_raise_under_python_O(tmp_path):
     _under_python_O(f"_planted_membership_routes({str(tmp_path)!r})")
+
+
+def test_dominated_member_solves_no_weight_lp(monkeypatch):
+    # the nondominance program settles a dominated member: (1, 1) is
+    # strictly dominated, (1, 0) only weakly nondominated, as (0, 0)
+    # lies below it with a smaller sum
+    calls = []
+    real = hulls.lp_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(hulls, "lp_solve", counted)
+    for w, y0 in (
+        (hull([(1, 0), (0, 1), (1, 1)]), (1, 1)),
+        (hull([(0, 0), (1, 0)]), (1, 0)),
+    ):
+        assert hull_is_properly_nondominated(w, y0) == hulls.ProperVerdict(False, None)
+    assert calls == []
+    proper = hull_is_properly_nondominated(hull([(0, 0), (1, 0)]), (0, 0))
+    assert proper.verdict and len(calls) == 1
+
+
+def _planted_infeasible_weights_routes(tmp_dir):
+    """Plant an INFEASIBLE weight LP for a nondominated member and require
+    the public classifier and ``hull --query`` to raise, not to read it
+    as a False verdict.
+
+    Patches by hand and raises instead of asserting, so that it checks
+    the same under ``python -O``.
+    """
+    import json
+
+    from pareto_kit import cli
+    from pareto_kit.numerics import INFEASIBLE
+
+    w = hull([(1, 0), (0, 1)])
+    path = f"{tmp_dir}/hull.json"
+    with open(path, "w") as fh:
+        json.dump({"generators": [["1", "0"], ["0", "1"]]}, fh)
+
+    def cli_route():
+        if cli.main(["hull", "--input", path, "--query", "1/2,1/2"]) == 1:
+            raise InternalInconsistency("hull --query exited 1")
+
+    routes = [lambda: hull_is_properly_nondominated(w, (HALF, HALF)), cli_route]
+    real = hulls.lp_solve
+    hulls.lp_solve = lambda lp: LpOutcome(INFEASIBLE)
+    try:
+        for route in routes:
+            try:
+                route()
+            except InternalInconsistency:
+                continue
+            raise AssertionError("an INFEASIBLE weight LP was read as a verdict")
+    finally:
+        hulls.lp_solve = real
+
+
+def test_planted_infeasible_weights_raise(tmp_path, capsys):
+    _planted_infeasible_weights_routes(tmp_path)
+
+
+def test_planted_infeasible_weights_raise_under_python_O(tmp_path):
+    _under_python_O(f"_planted_infeasible_weights_routes({str(tmp_path)!r})")

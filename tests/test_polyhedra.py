@@ -49,6 +49,38 @@ def test_recession_cone_of_orthant():
     assert not rc.contains((-1, 0))
 
 
+def _per_objective_rays(P):
+    """The recession rays as one LP per objective +-e_i over the cone and
+    the unit box, the way they were solved before the batch: the oracle."""
+    p = P.dim
+    rows = [(list(row), LE, 0) for row in P.A]
+    rays = []
+    for i in range(p):
+        for sign in (1, -1):
+            objective = [sign if j == i else 0 for j in range(p)]
+            outcome = lp_solve(linprog(objective, rows, lower=[-1] * p, upper=[1] * p))
+            assert outcome.status == OPTIMAL
+            if outcome.value < 0 and outcome.point not in rays:
+                rays.append(outcome.point)
+    return tuple(rays)
+
+
+def test_recession_rays_match_per_objective_solves():
+    rays = 0
+    for family in POLY_FAMILIES:
+        for p in (2, 3, 4):
+            for m in (1, 3, 6):
+                for seed in range(2):
+                    P, _, _ = gen_poly(p, m, 40 + seed, family)
+                    try:
+                        cone = recession_cone(P)
+                    except EmptyPolyhedron:
+                        continue
+                    assert cone.sample_directions == _per_objective_rays(P)
+                    rays += len(cone.sample_directions)
+    assert rays > 50
+
+
 def test_recession_rays_stay_inside():
     rc = recession_cone(DIAGONAL)
     member = (Fraction(1), Fraction(1))
@@ -203,11 +235,13 @@ def test_hull_sample_ties_go_to_first_generator(generators):
 def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
     from pareto_kit import polyhedra
 
-    real_solve, real_minima = polyhedra.lp_solve, polyhedra._section_minima
+    real_batch, real_minima = polyhedra.lp_solve_batch, polyhedra._section_minima
 
-    def planted_solve(lp):
-        # the recession-ray LPs are the ones over the unit box
-        return LpOutcome(UNBOUNDED) if lp.lower is not None else real_solve(lp)
+    def planted_batch(objectives, rows, lower=None, upper=None):
+        # the recession-ray batch is the one over the unit box
+        if lower is not None:
+            return [LpOutcome(UNBOUNDED)] * len(objectives)
+        return real_batch(objectives, rows, lower, upper)
 
     def planted_minima(P, anchor, weight_list):
         # a single-weight batch stays real; the grid fails (connect
@@ -217,7 +251,7 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
             return outcomes
         return [LpOutcome(UNBOUNDED)] * len(outcomes)
 
-    monkeypatch.setattr(polyhedra, "lp_solve", planted_solve)
+    monkeypatch.setattr(polyhedra, "lp_solve_batch", planted_batch)
     with pytest.raises(InternalInconsistency):
         recession_cone(BOX)
     monkeypatch.setattr(polyhedra, "_section_minima", planted_minima)

@@ -26,3 +26,39 @@ def test_readme_library_block_runs():
     section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_cli_imports_no_private_name():
+    """Which hull LP runs when is decided in the library; the command line
+    reaches it through public names only."""
+    path = Path(pareto_kit.__file__).resolve().parent / "cli.py"
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("pareto_kit"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_benchmark_caches_exist():
+    """The benchmark clears and reads, by name, the lru caches that
+    ``perfbench/layers.py`` lists in ``CACHED``; each must still be one."""
+    import importlib
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    (cached,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CACHED" for t in node.targets)
+    ]
+    assert cached
+    for layer, names in cached.items():
+        module = importlib.import_module(f"pareto_kit.{layer}")
+        for name in names:
+            fn = getattr(module, name)
+            assert callable(fn.cache_clear) and callable(fn.cache_info), name
