@@ -6,10 +6,11 @@ its polar cone in exact integers: cone(G) = {y : E y = 0, N y >= 0} with
 E a basis of the polar's lineality space and N the polar's extreme rays
 (Weyl-Minkowski), for cones with a line and cones of lower rank too.
 Every row is checked against every generator before it is used.  Cone
-membership, pointedness and properness are integer sign checks against
-this description; only the synthesis of a direction with strictly
-positive inner product against every generator solves an exact linear
-program.
+membership, pointedness, properness and a direction with strictly
+positive inner product against every generator are integer sign checks
+and sums over this description; no linear program is solved.  The same
+checked routine, run on the rows of -A, gives the lines and extreme rays
+of a polyhedron's recession cone {d : A d <= 0}.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     MalformedInput,
     NotPointed,
 )
-from .numerics import GE, OPTIMAL, dot, linprog, lp_solve
 from .numerics.rational import as_matrix, as_point, common_denominator
 
 # Entries kept by each lru_cache below; a long-running process reuses at
@@ -168,16 +168,17 @@ def _polar(gens: list[tuple[int, ...]]):
     return lines, [r for r, _ in rays]
 
 
-def _description(c: PolyhedralCone):
-    """(E, N) with cone(G) = {y : E y = 0, N y >= 0}, every row checked.
+def _description(gens: list[tuple[int, ...]]):
+    """(E, N) with cone(gens) = {y : E y = 0, N y >= 0}, every row checked.
 
-    E y = 0 puts y in span G and N y >= 0 puts it on the cone side of
-    every facet: the cone is the dual of its polar (Weyl-Minkowski).  Each
-    row is checked against every generator in integers (e . g = 0,
-    n . g >= 0, no zero row), so a point that fails a row is separated
-    from the cone by a checked Farkas certificate.
+    ``gens`` are nonzero integer rows.  E y = 0 puts y in their span and
+    N y >= 0 puts it on the cone side of every facet: the cone is the dual
+    of its polar (Weyl-Minkowski).  Each row is checked against every
+    generator in integers (e . g = 0, n . g >= 0, no zero row), so a point
+    that fails a row is separated from the cone by a checked Farkas
+    certificate.  Read the other way, the polar {n : n . g >= 0} is the
+    span of E plus the nonnegative hull of N.
     """
-    gens = _integer_generators(c)
     lineality, rays = _polar(gens)
     for e in lineality:
         if not any(e) or any(_idot(e, g) for g in gens):
@@ -195,7 +196,7 @@ def _cone_precedes(c: PolyhedralCone, rows):
     The description is built once and each row mapped to (E y, N y), so a
     test compares these images: equal E parts and N y_j <= N y_k.
     """
-    lineality, rays = _description(c)
+    lineality, rays = _description(_integer_generators(c))
     level = [tuple(_idot(e, y) for e in lineality) for y in rows]
     height = [tuple(_idot(n, y) for n in rays) for y in rows]
     return lambda j, k: level[j] == level[k] and all(map(le, height[j], height[k]))
@@ -228,7 +229,7 @@ def is_proper(c: PolyhedralCone) -> bool:
     A nonzero generator rules out {0}.  The cone is all of R^p exactly when
     its description has no row: with no row every point satisfies it.
     """
-    lineality, rays = _description(c)
+    lineality, rays = _description(_integer_generators(c))
     return bool(lineality or rays)
 
 
@@ -236,34 +237,25 @@ def is_proper(c: PolyhedralCone) -> bool:
 def strictly_positive_direction(c: PolyhedralCone) -> tuple[Fraction, ...]:
     """A direction d with d . g > 0 for every generator g.
 
-    Found by maximizing the common slack delta subject to d . g >= delta
-    with d confined to the unit box; a positive optimum exists iff the cone
-    is pointed.  The postcondition is re-checked exactly before returning.
+    d is the sum of the polar's extreme rays, divided by the gcd of its
+    entries.  Every ray n has n . g >= 0, so d . g >= 0.  If d . g = 0,
+    then g is orthogonal to every ray and every lineality row, so -g meets
+    the description and lies in the cone, which then holds a line.  So d
+    is strictly positive on every generator exactly when the cone is
+    pointed; each product is checked in integers.
     """
-    if not is_proper(c):
+    gens = _integer_generators(c)
+    lineality, rays = _description(gens)
+    if not (lineality or rays):
         raise ImproperCone("direction synthesis needs a proper cone")
-    p = c.dim
-    # variables: d_1..d_p in [-1, 1], delta in [0, 1]
-    rows = [(list(g) + [-1], GE, 0) for g in c.generators]
-    lp = linprog(
-        [0] * p + [-1],
-        rows,
-        lower=[-1] * p + [0],
-        upper=[1] * p + [1],
-    )
-    outcome = lp_solve(lp)
-    if outcome.status != OPTIMAL:  # the feasible box is compact
-        raise InternalInconsistency("direction LP over a box is not optimal")
-    delta = outcome.point[-1]
-    if delta <= 0:
+    total = [sum(column) for column in zip(*rays)]
+    if not all(_idot(total, g) > 0 for g in gens):
         raise NotPointed(
             "cone is not pointed: it contains a line, so no strictly "
             "positive direction exists"
         )
-    direction = outcome.point[:p]
-    if not all(dot(direction, g) > 0 for g in c.generators):
-        raise InternalInconsistency("direction is not strictly positive on the cone")
-    return direction
+    k = gcd(*total)
+    return tuple(Fraction(x // k) for x in total)
 
 
 def cone_to_json(c: PolyhedralCone) -> dict:

@@ -70,7 +70,7 @@ def dump_json(data) -> str:
 def load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise MalformedInput(f"invalid JSON: {exc}") from None
 
 

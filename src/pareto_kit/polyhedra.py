@@ -31,6 +31,7 @@ from itertools import combinations
 from math import comb
 from operator import mul, sub
 
+from .cones import _description
 from .errors import (
     EmptyFrontier,
     EmptyPolyhedron,
@@ -102,7 +103,13 @@ def _require_nonempty(P: Polyhedron) -> Point:
 
 @dataclass(frozen=True)
 class RecessionCone:
-    """Directions d with A d <= 0 (the zero direction included)."""
+    """Directions d with A d <= 0 (the zero direction included).
+
+    ``sample_directions`` are the cone's exact generators: e and -e for
+    each line e of a basis of its lineality space, then each extreme ray
+    (known modulo that space).  The cone is their nonnegative hull, and it
+    is {0} exactly when there are none.
+    """
 
     A: tuple[Point, ...]
     sample_directions: tuple[Point, ...]
@@ -113,25 +120,16 @@ class RecessionCone:
 
 
 def recession_cone(P: Polyhedron) -> RecessionCone:
-    """The recession cone of a nonempty P, with a few sampled rays.
+    """The recession cone of a nonempty P with its exact generators.
 
-    Rays are found by minimizing +-1 times each coordinate over the cone
-    intersected with the unit box, as one batch over the same rows;
-    nonzero optima are kept.
+    {d : A d <= 0} is the polar of the cone generated by the rows of -A,
+    so the checked double description of those rows, scaled to integers,
+    gives its lines and extreme rays; no linear program is solved.
     """
     _require_nonempty(P)
-    p = P.dim
-    rows = [(list(row), LE, 0) for row in P.A]
-    objectives = [
-        [sign if j == i else 0 for j in range(p)] for i in range(p) for sign in (1, -1)
-    ]
-    rays: list[Point] = []
-    for outcome in lp_solve_batch(objectives, rows, lower=[-1] * p, upper=[1] * p):
-        if outcome.status != OPTIMAL:  # the unit box is compact
-            raise InternalInconsistency("recession-ray LP is not optimal")
-        if outcome.value < 0 and outcome.point not in rays:
-            rays.append(outcome.point)
-    return RecessionCone(P.A, tuple(rays))
+    lineality, rays = _description(scaled_rows([[-x for x in row] for row in P.A]))
+    lines = [d for e in lineality for d in (e, tuple(-x for x in e))]
+    return RecessionCone(P.A, tuple(tuple(map(Fraction, d)) for d in lines + rays))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -159,7 +157,8 @@ def lower_section_bounded(P: Polyhedron, y0) -> bool:
     _require_nonempty(P)
     point = as_point(y0)
     if not P.contains(point):
-        raise NotMember(f"{point} is not in the polyhedron")
+        text = ", ".join(map(rational_format, point))
+        raise NotMember(f"({text}) is not in the polyhedron")
     return negative_recession_direction(P) is None
 
 
@@ -206,7 +205,8 @@ def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
     sample_points = [as_point(s) for s in samples]
     for s in sample_points:
         if not P.contains(s):
-            raise NotMember(f"sample {s} is not in the polyhedron")
+            text = ", ".join(map(rational_format, s))
+            raise NotMember(f"sample ({text}) is not in the polyhedron")
     anchor = sample_points[0] if sample_points else base
 
     direction = negative_recession_direction(P)

@@ -250,8 +250,9 @@ def hull_reducibility_check(
             sub_query = tuple(point[i - 1] for i in sel)
             if _properly_nondominated(sub_hull, sub_query).verdict:
                 return HullReducibilityRecord(point, True, True, sel)
+        text = ", ".join(map(rational_format, point))
         raise InternalInconsistency(
-            f"weak/proper reducibility mismatch at {point}: lhs=True rhs=False"
+            f"weak/proper reducibility mismatch at ({text}): lhs=True rhs=False"
         )
 
     return [check_one(query) for query in queries]

@@ -431,6 +431,53 @@ def test_hull_reduce_non_member_message(tmp_path, capsys):
     assert captured.err == "error: query point (0, -1/3) is outside the hull\n"
 
 
+# an integer literal of 4,400 digits, over Python's limit on int text
+HUGE_INT = "1" * 4400
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["hull", "--query", "1,1"], f'{{"generators": [[{HUGE_INT}, 0]]}}'),
+        (["reduce", "--mode", "hull"], f'{{"generators": [[{HUGE_INT}, 0]]}}'),
+        (["poly"], f'{{"A": [[{HUGE_INT}, 0]], "b": [0]}}'),
+        (["connect"], f'{{"A": [[{HUGE_INT}, 0]], "b": [0]}}'),
+        (["reduce"], f'{{"objectives": [[{HUGE_INT}, 0]]}}'),
+        (["stability", "--cone"], f'{{"generators": [[{HUGE_INT}, 0]]}}'),
+    ],
+    ids=["hull", "reduce-hull", "poly", "connect", "reduce", "stability-cone"],
+)
+def test_json_int_over_the_digit_limit_exits_one(tmp_path, capsys, argv, text):
+    path = _write(tmp_path, "input.json", text)
+    points = _write(tmp_path, "pts.csv", POINTS_CSV)
+    if argv[0] == "stability":
+        argv = ["stability", "--input", points, "--cone", path]
+    elif argv[:3] == ["reduce", "--mode", "hull"]:
+        argv = argv + ["--input", path, "--queries", points]
+    else:
+        argv = [argv[0], "--input", path] + argv[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: invalid JSON")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        ("1/3,0", "error: sample (1/3, 0) is not in the polyhedron\n"),
+        ("1e4300,0", "error: a number has too many digits to write out\n"),
+    ],
+    ids=["fraction", "too-long-to-write"],
+)
+def test_poly_non_member_sample_message(tmp_path, capsys, sample, message):
+    path = _write(tmp_path, "poly.json", json.dumps(NONEMPTY_POLY))
+    samples = _write(tmp_path, "samples.csv", f"y1,y2\n{sample}\n")
+    assert main(["poly", "--input", path, "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["nondom", "--input", "/nonexistent/file.csv"]) == 1
     assert "error" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from pareto_kit.errors import (
     NotPointed,
 )
 from pareto_kit.generate import gen_cone
-from pareto_kit.numerics import EQ, INFEASIBLE, OPTIMAL, LpOutcome, dot, linprog, lp_solve
+from pareto_kit.numerics import EQ, OPTIMAL, dot, linprog, lp_solve
 
 
 def test_order_relation_equal_points():
@@ -175,36 +175,45 @@ def test_cone_contains_matches_planar_sector_oracle():
     assert checked == 600
 
 
+CACHED = (is_pointed, is_proper, strictly_positive_direction)
+
+
+def _clear_caches():
+    for cached in CACHED:
+        cached.cache_clear()
+
+
 @pytest.mark.parametrize(
     "planted",
     [
-        LpOutcome(INFEASIBLE),
-        # delta > 0 but the direction (0, 0) is not positive on the cone
-        LpOutcome(OPTIMAL, Fraction(-1), (Fraction(0), Fraction(0), Fraction(1))),
+        # a facet row negative on the generator (2, 1)
+        ((), ((-1, 0),)),
+        # a zero facet row, which separates nothing
+        ((), ((0, 0),)),
     ],
 )
 def test_direction_checks_raise_internal_inconsistency(monkeypatch, planted):
     from pareto_kit import cones
 
     c = cone([(2, 1), (1, 3)])
-    real = cones.lp_solve
+    real = cones._polar
+    extra_lineality, extra_rays = planted
 
-    def planted_direction_lp(lp):
-        # the properness check needs no LP; the direction LP has the extra
-        # slack variable delta
-        return planted if len(lp.objective) == c.dim + 1 else real(lp)
+    def planted_polar(gens):
+        lineality, rays = real(gens)
+        return list(lineality) + list(extra_lineality), list(rays) + list(extra_rays)
 
-    monkeypatch.setattr(cones, "lp_solve", planted_direction_lp)
-    strictly_positive_direction.cache_clear()
+    monkeypatch.setattr(cones, "_polar", planted_polar)
+    _clear_caches()
     try:
         with pytest.raises(InternalInconsistency):
             strictly_positive_direction(c)
     finally:
-        strictly_positive_direction.cache_clear()
+        _clear_caches()
 
 
 def test_caches_are_bounded():
-    for cached in (is_pointed, is_proper, strictly_positive_direction):
+    for cached in CACHED:
         assert cached.cache_info().maxsize is not None
 
 
@@ -312,6 +321,14 @@ def test_description_matches_lp_membership_pointedness_and_properness():
         ]
         whole_space = all(_lp_member(gens, u) for u in units)
         assert is_proper(c) == (not whole_space), gens
+        try:
+            d = strictly_positive_direction(c)
+        except ImproperCone:
+            assert whole_space, gens
+        except NotPointed:
+            assert has_line and not whole_space, gens
+        else:
+            assert not has_line and all(dot(d, g) > 0 for g in gens), gens
         lines += has_line
         lower_rank += _rank(gens) < c.dim
         whole += whole_space
@@ -336,6 +353,7 @@ def _planted_row_routes():
         lambda: cone_contains(c, (1, 1)),
         lambda: is_pointed(c),
         lambda: is_proper(c),
+        lambda: strictly_positive_direction(c),
         lambda: cone_nondominated_set(points, c),
         lambda: find_dominator_cone(points, c, (3, 4), (1, 1)),
     ]
@@ -348,8 +366,7 @@ def _planted_row_routes():
         cones._polar = plant
         try:
             for route in routes:
-                is_pointed.cache_clear()
-                is_proper.cache_clear()
+                _clear_caches()
                 try:
                     route()
                 except InternalInconsistency:
@@ -357,8 +374,7 @@ def _planted_row_routes():
                 raise AssertionError("a planted description row was used")
         finally:
             cones._polar = real
-            is_pointed.cache_clear()
-            is_proper.cache_clear()
+            _clear_caches()
 
 
 def test_planted_description_row_raises():

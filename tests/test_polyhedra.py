@@ -23,7 +23,7 @@ from pareto_kit.errors import (
     NotMember,
 )
 from pareto_kit.generate import POLY_FAMILIES, gen_poly
-from pareto_kit.numerics import LE, OPTIMAL, UNBOUNDED, LpOutcome, linprog, lp_solve
+from pareto_kit.numerics import EQ, LE, OPTIMAL, UNBOUNDED, LpOutcome, linprog, lp_solve
 from pareto_kit.polyhedra import polyhedron_from_json, polyhedron_to_json
 
 from oracles import oracle_polytope_vertices
@@ -49,36 +49,153 @@ def test_recession_cone_of_orthant():
     assert not rc.contains((-1, 0))
 
 
-def _per_objective_rays(P):
-    """The recession rays as one LP per objective +-e_i over the cone and
-    the unit box, the way they were solved before the batch: the oracle."""
-    p = P.dim
-    rows = [(list(row), LE, 0) for row in P.A]
-    rays = []
-    for i in range(p):
-        for sign in (1, -1):
-            objective = [sign if j == i else 0 for j in range(p)]
-            outcome = lp_solve(linprog(objective, rows, lower=[-1] * p, upper=[1] * p))
-            assert outcome.status == OPTIMAL
-            if outcome.value < 0 and outcome.point not in rays:
-                rays.append(outcome.point)
-    return tuple(rays)
+@pytest.mark.parametrize(
+    "P, generators",
+    [
+        (BOX, ()),
+        (polyhedron([[-1, 0], [0, -1]], [0, 0]), ((1, 0), (0, 1))),
+        (DIAGONAL, ((-1, 1), (1, -1), (1, 0))),
+        (HALFPLANE, ((1, 0), (-1, 0), (0, 1))),
+    ],
+    ids=["box", "orthant", "diagonal", "halfplane"],
+)
+def test_recession_generators_are_pinned(P, generators):
+    assert recession_cone(P).sample_directions == generators
 
 
-def test_recession_rays_match_per_objective_solves():
-    rays = 0
+def _in_cone_hull(directions, v) -> bool:
+    """Is v a nonnegative combination of the directions?  One exact LP."""
+    k = len(directions)
+    rows = [([d[i] for d in directions], EQ, v[i]) for i in range(len(v))]
+    return lp_solve(linprog([0] * k, rows, lower=[0] * k)).status == OPTIMAL
+
+
+def test_recession_generators_are_complete():
+    """Every vertex of {A d <= 0, -1 <= d <= 1}, found by brute force, is a
+    nonnegative combination of the generators, and each generator lies in
+    {A d <= 0}: the cone they span is the recession cone.  Six rows in
+    dimension 4 are left out for time: the brute force tries every 4 of
+    the 14 rows."""
+    lines = rays = vertices = 0
     for family in POLY_FAMILIES:
         for p in (2, 3, 4):
-            for m in (1, 3, 6):
+            for m in (1, 3, 6) if p < 4 else (1, 3):
                 for seed in range(2):
                     P, _, _ = gen_poly(p, m, 40 + seed, family)
                     try:
                         cone = recession_cone(P)
                     except EmptyPolyhedron:
                         continue
-                    assert cone.sample_directions == _per_objective_rays(P)
-                    rays += len(cone.sample_directions)
-    assert rays > 50
+                    directions = cone.sample_directions
+                    assert all(cone.contains(d) and any(d) for d in directions)
+                    units = [
+                        tuple(Fraction(i == j) for j in range(p)) for i in range(p)
+                    ]
+                    rows = list(P.A) + units + [tuple(-x for x in u) for u in units]
+                    rhs = [Fraction(0)] * len(P.A) + [Fraction(1)] * (2 * p)
+                    for v in oracle_polytope_vertices(rows, rhs):
+                        if any(v):
+                            assert directions and _in_cone_hull(directions, v), (P, v)
+                            vertices += 1
+                    lineality = sum(
+                        tuple(-x for x in d) in directions for d in directions
+                    )
+                    lines += lineality // 2
+                    rays += len(directions) - lineality
+    assert lines >= 30 and rays >= 100 and vertices >= 400
+
+
+def test_direction_and_recession_cone_solve_no_lp(monkeypatch):
+    from pareto_kit import cone, strictly_positive_direction
+    from pareto_kit.errors import ImproperCone, NotPointed
+    from pareto_kit.generate import gen_cone
+    from pareto_kit.polyhedra import feasible_point
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    polyhedra = []
+    for family in POLY_FAMILIES:
+        for p in (2, 3, 4):
+            P, _, _ = gen_poly(p, 3, 60, family)
+            if feasible_point(P) is not None:  # the nonemptiness LP, cached
+                polyhedra.append(P)
+    cones = [gen_cone(p, 4, seed) for p in (2, 3, 4) for seed in range(3)]
+    cones += [cone([(1, 0), (-1, 0), (0, 1)]), cone([(1,), (-1,)])]
+    templates = []
+    real = linprog_module._template
+
+    def counted(lp):
+        templates.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(linprog_module, "_template", counted)
+    strictly_positive_direction.cache_clear()
+    refused = 0
+    for c in cones:
+        try:
+            strictly_positive_direction(c)
+        except (ImproperCone, NotPointed):
+            refused += 1
+    for P in polyhedra:
+        recession_cone(P)
+    assert refused == 2 and len(polyhedra) >= 10
+    assert templates == []
+
+
+def _planted_recession_rows():
+    """Plant a ray that leaves {A d <= 0} (the first row of A, up to a
+    positive factor) and a lineality row off {A d = 0}, and require
+    InternalInconsistency from recession_cone.
+
+    Patches by hand and raises instead of asserting, so that it checks
+    the same under ``python -O``.
+    """
+    from pareto_kit import cones
+
+    real = cones._polar
+    plants = [
+        lambda gens: (real(gens)[0], real(gens)[1] + [tuple(-x for x in gens[0])]),
+        lambda gens: (real(gens)[0] + [gens[0]], real(gens)[1]),
+    ]
+    for P in (BOX, DIAGONAL, HALFPLANE):
+        for plant in plants:
+            cones._polar = plant
+            try:
+                recession_cone(P)
+            except InternalInconsistency:
+                continue
+            finally:
+                cones._polar = real
+            raise AssertionError("a planted recession generator was returned")
+
+
+def test_planted_recession_row_raises():
+    _planted_recession_rows()
+
+
+def test_planted_recession_row_raises_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pareto_kit
+
+    src = Path(pareto_kit.__file__).resolve().parent.parent
+    tests = Path(__file__).resolve().parent
+    path = [str(src), str(tests), os.environ.get("PYTHONPATH", "")]
+    code = (
+        "import sys, test_polyhedra\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "test_polyhedra._planted_recession_rows()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_recession_rays_stay_inside():
@@ -109,8 +226,8 @@ def test_lower_section_bounded_cases():
     assert lower_section_bounded(DIAGONAL, (0, 0))
     assert not lower_section_bounded(HALFPLANE, (0, 0))
     assert lower_section_bounded(BOX, (1, 1))
-    with pytest.raises(NotMember):
-        lower_section_bounded(BOX, (5, 5))
+    with pytest.raises(NotMember, match=r"^\(5, 1/3\) is not in the polyhedron$"):
+        lower_section_bounded(BOX, (5, Fraction(1, 3)))
 
 
 def test_full_report_hand_pair():
@@ -235,13 +352,7 @@ def test_hull_sample_ties_go_to_first_generator(generators):
 def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
     from pareto_kit import polyhedra
 
-    real_batch, real_minima = polyhedra.lp_solve_batch, polyhedra._section_minima
-
-    def planted_batch(objectives, rows, lower=None, upper=None):
-        # the recession-ray batch is the one over the unit box
-        if lower is not None:
-            return [LpOutcome(UNBOUNDED)] * len(objectives)
-        return real_batch(objectives, rows, lower, upper)
+    real_minima = polyhedra._section_minima
 
     def planted_minima(P, anchor, weight_list):
         # a single-weight batch stays real; the grid fails (connect
@@ -251,9 +362,6 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
             return outcomes
         return [LpOutcome(UNBOUNDED)] * len(outcomes)
 
-    monkeypatch.setattr(polyhedra, "lp_solve_batch", planted_batch)
-    with pytest.raises(InternalInconsistency):
-        recession_cone(BOX)
     monkeypatch.setattr(polyhedra, "_section_minima", planted_minima)
     with pytest.raises(InternalInconsistency):
         frontier_sample_connected(DIAGONAL, 8)

@@ -300,3 +300,19 @@ def test_labels_not_a_list_of_strings(labels):
         mop_instance(labels, rows)
     with pytest.raises(MalformedInput):
         instance_from_json({"labels": labels, "objectives": [["1", "0"], ["0", "1"]]})
+
+
+def test_mismatch_message_writes_the_point_as_rationals(monkeypatch):
+    from pareto_kit import reducibility
+    from pareto_kit.errors import InternalInconsistency
+    from pareto_kit.hulls import ProperVerdict
+
+    # every selector planted as failing, so the weakly nondominated query
+    # reaches the mismatch
+    monkeypatch.setattr(
+        reducibility, "_properly_nondominated", lambda w, y: ProperVerdict(False, None)
+    )
+    w = hull([(0, 1), (1, 0)])
+    message = r"^weak/proper reducibility mismatch at \(1/2, 1/2\): lhs=True rhs=False$"
+    with pytest.raises(InternalInconsistency, match=message):
+        hull_reducibility_check(w, [(Fraction(1, 2), Fraction(1, 2))])

@@ -62,3 +62,20 @@ def test_benchmark_caches_exist():
         for name in names:
             fn = getattr(module, name)
             assert callable(fn.cache_clear) and callable(fn.cache_info), name
+
+
+def test_cones_import_no_lp():
+    """Cone membership, pointedness, properness and the strictly positive
+    direction are read from the checked double description; no LP."""
+    path = Path(pareto_kit.__file__).resolve().parent / "cones.py"
+    lp_names = {"linprog", "lp_solve", "lp_solve_batch"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            if module.endswith("linprog") or names & lp_names:
+                found.append(f"{module}: {sorted(names)}")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.endswith("linprog")]
+    assert found == []
