@@ -26,20 +26,20 @@ non-member raises NotInHull.
   nondominated iff the optimum equals its own sum,
 * proper nondominance equals nondominance on a polytope (Isermann
   1974), so the nondominance program decides it.  A nondominated query
-  takes its witness from weights lambda >= 1 with lambda . (w - y0) >= 0
-  for every generator w, which must then exist; the scaling lambda >= 1
-  stands in for strict positivity, which the defining inequalities allow
-  because they are positively homogeneous in lambda.
+  takes as its witness the sum of the extreme rays of its weight cone
+  {lambda >= 0 : lambda . (w - y0) >= 0 for every generator w}, read
+  from the checked double description of ``cones``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from .cones import _description
 from .errors import DimensionMismatch, EmptySet, InternalInconsistency, NotInHull
-from .numerics import EQ, GE, INFEASIBLE, LE, OPTIMAL, linprog, lp_solve, rational_format
+from .numerics import EQ, INFEASIBLE, LE, OPTIMAL, rational_format
 from .numerics.linprog import lp_solve_batch
 from .numerics.rational import as_matrix, as_point, common_denominator, scaled_rows
 
@@ -84,14 +84,8 @@ def _convex_combination(gens, mu) -> tuple[list[int], int]:
 
 
 def _member(gens, target, outcome) -> bool:
-    """Read the membership objective's outcome: is y in conv(G)?
-
-    The objective maximizes the coordinate sum of z = sum mu_k G_k over
-    z <= y, so y is a member exactly when that maximum is sum y, and
-    then z = y: the weights mu are checked to give y in integers.  A
-    smaller maximum, or no hull point below y at all (INFEASIBLE), puts
-    y outside the hull.
-    """
+    """Read the membership objective's outcome, as the module docstring
+    sets out: is y in conv(G)?"""
     if outcome.status == INFEASIBLE:
         return False
     if outcome.status != OPTIMAL:  # the hull is compact
@@ -186,24 +180,26 @@ class ProperVerdict:
     witness: Point | None
 
 
-def _properly_nondominated(w: HullSet, point: Point) -> ProperVerdict:
-    """Feasibility of the weights lambda for a member ``point``, over W and
-    the point scaled to integers: the notion hull reducibility tests."""
-    *gens, target = scaled_rows([*w.generators, point])
-    rows = [([a - y for a, y in zip(g, target)], GE, 0) for g in gens]
-    outcome = lp_solve(linprog([0] * w.dim, rows, lower=[1] * w.dim))
-    if outcome.status != OPTIMAL:
-        return ProperVerdict(False, None)
-    return ProperVerdict(True, outcome.point)
+def _weight_rays(gens, target) -> list[tuple[int, ...]]:
+    """The checked extreme rays of the weight cone {lambda >= 0 : lambda .
+    (g - y) >= 0 for every row g}, the polar of cone(e_1, ..., e_p, g - y)."""
+    p = len(target)
+    units = [tuple(int(i == j) for j in range(p)) for i in range(p)]
+    rows = [tuple(a - y for a, y in zip(g, target)) for g in gens if g != target]
+    lineality, rays = _description(units + rows)
+    if lineality:  # the unit vectors span R^p
+        raise InternalInconsistency("the weight cone holds a line")
+    return rays
 
 
 def hull_is_properly_nondominated(w: HullSet, y0) -> ProperVerdict:
-    """Decided by the nondominance program; a nondominated member takes
-    its witness from the lambda LP, which raises if it is infeasible."""
-    point, _, target, outcome = _verdict(w, y0, _SUM)
+    """Decided by the nondominance program; the witness is the weight
+    cone's ray sum over its gcd, which Isermann makes strictly positive."""
+    _, gens, target, outcome = _verdict(w, y0, _SUM)
     if outcome.value != sum(target):
         return ProperVerdict(False, None)
-    proper = _properly_nondominated(w, point)
-    if not proper.verdict:
+    total = [sum(column) for column in zip(*_weight_rays(gens, target))]
+    if not total or not all(total):
         raise InternalInconsistency("a nondominated hull point has no proper weights")
-    return proper
+    k = gcd(*total)
+    return ProperVerdict(True, tuple(Fraction(x // k) for x in total))

@@ -35,7 +35,7 @@ from .errors import (
     TooManyObjectives,
     ZeroWeights,
 )
-from .hulls import HullSet, _properly_nondominated, _strict_dominator
+from .hulls import HullSet, _strict_dominator, _weight_rays
 from .numerics.rational import as_matrix, as_point, dot, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
@@ -226,30 +226,30 @@ def hull_reducibility_check(
     dominator z, checked in integers: every projection of z lies in the
     projected hull and strictly dominates the projected query, so no
     subproblem is solved and the record has no witness.  A weakly
-    nondominated query solves its subproblems in selector order and
-    reports the first selector that works; if none does, the solver
-    itself failed and the run aborts.
+    nondominated query reads the rays of its weight cone {lambda >= 0 :
+    lambda . (w - y0) >= 0 for every generator w}.  Its projection onto a
+    selector I is properly nondominated exactly when some weight in the
+    cone is positive on I and zero off it (Geoffrion 1968); those weights
+    are spanned by the rays whose support lies inside I.  So the first
+    selector that works is the smallest support of a ray, by size and then
+    lexicographically; with no ray, none works and the run aborts.
     """
     if w.dim > max_objectives:
         raise TooManyObjectives(
             f"{w.dim} objectives exceed the enumeration cap {max_objectives}"
         )
-    subproblems = [
-        (sel, HullSet(tuple(_project(w.generators, sel))))
-        for sel in all_selectors(w.dim)
-    ]
 
     def check_one(query) -> HullReducibilityRecord:
         point = as_point(query)
         # raises NotInHull for a non-member, DimensionMismatch for a wrong width
         if _strict_dominator(w, point) is not None:
             return HullReducibilityRecord(point, False, False, None)
-        for sel, sub_hull in subproblems:
-            # projections of hull members stay in the projected hull, so
-            # membership is not solved again here
-            sub_query = tuple(point[i - 1] for i in sel)
-            if _properly_nondominated(sub_hull, sub_query).verdict:
-                return HullReducibilityRecord(point, True, True, sel)
+        *gens, target = scaled_rows([*w.generators, point])
+        rays = _weight_rays(gens, target)
+        supports = [tuple(i + 1 for i, x in enumerate(r) if x) for r in rays]
+        if supports:
+            sel = min(supports, key=lambda s: (len(s), s))
+            return HullReducibilityRecord(point, True, True, sel)
         text = ", ".join(map(rational_format, point))
         raise InternalInconsistency(
             f"weak/proper reducibility mismatch at ({text}): lhs=True rhs=False"

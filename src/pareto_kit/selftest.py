@@ -262,6 +262,13 @@ def _suite_finite_dominance(seed: int, scale: float) -> SuiteResult:
     return SuiteResult("finite-dominance", True, check.count)
 
 
+def _has_proper_weights(generators, y0) -> bool:
+    """One LP, apart from the library: lam >= 1, lam . (g - y0) >= 0 for all g?"""
+    p = len(y0)
+    rows = [([a - b for a, b in zip(y0, g)], LE, 0) for g in generators]
+    return lp_solve(linprog([0] * p, rows, lower=[1] * p)).status == OPTIMAL
+
+
 def _suite_hulls(seed: int, scale: float) -> SuiteResult:
     check = _Check()
     rng = random.Random(repr(("selftest-hulls", seed)))
@@ -271,15 +278,19 @@ def _suite_hulls(seed: int, scale: float) -> SuiteResult:
         queries = generate.gen_hull_queries(w, 4, seed * 29 + trial)
         for q in queries:
             check(hull_contains(w, q), "generated queries stay in the hull")
-            proper = hull_is_properly_nondominated(w, q).verdict
+            lam = hull_is_properly_nondominated(w, q).witness
+            proper = lam is not None
             nd = hull_is_nondominated(w, q)
             weak = hull_is_weakly_nondominated(w, q)
             check((not proper or nd) and (not nd or weak), "hull chain")
-            # Isermann 1974: a polytope's nondominated points are proper;
-            # lambda >= 1 with lambda . (g - q) >= 0 is solved apart here
-            rows = [([a - b for a, b in zip(q, g)], LE, 0) for g in w.generators]
-            lam = lp_solve(linprog([0] * p, rows, lower=[1] * p)).status == OPTIMAL
-            check(nd == lam, "nondominated hull points are properly nondominated")
+            # Isermann 1974: a polytope's nondominated points are proper
+            check(
+                nd == _has_proper_weights(w.generators, q),
+                "nondominated hull points are properly nondominated",
+            )
+            if proper:
+                minimizer = all(dot(lam, g) >= dot(lam, q) for g in w.generators)
+                check(min(lam) >= 1 and minimizer, "witness lam >= 1 minimizes at q")
             shift = _rand_point(rng, p, 4)
             moved = HullSet(
                 tuple(tuple(a + s for a, s in zip(g, shift)) for g in w.generators)
@@ -403,23 +414,16 @@ def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
         # generated members are mostly dominated; generators often are not
         queries = generate.gen_hull_queries(w, 4, seed * 401 + trial)
         for r in hull_reducibility_check(w, queries + list(w.generators)):
-            # the subset route, apart from the record: no selector of a
-            # dominated query gives a properly nondominated projection; the
-            # witness of a weakly nondominated one has weights lam >= 1
-            # that make its projection a minimizer over the projected hull
-            for sel in (r.witness,) if r.lhs else all_selectors(p):
-                sub = HullSet(tuple(tuple(g[i - 1] for i in sel) for g in w.generators))
+            # the subset route, apart from the record: weights lam >= 1 that
+            # make the projected query a minimizer over the projected hull
+            # exist for the witness and for no selector before it, nor for
+            # any selector of a dominated query
+            selectors = all_selectors(p)
+            last = selectors.index(r.witness) if r.lhs else len(selectors) - 1
+            for sel in selectors[: last + 1]:
+                sub = [tuple(g[i - 1] for i in sel) for g in w.generators]
                 y0 = tuple(r.query[i - 1] for i in sel)
-                lam = hull_is_properly_nondominated(sub, y0).witness
-                if not r.lhs:
-                    check(lam is None, "dominated hull query has a proper projection")
-                    continue
-                check(
-                    lam is not None
-                    and all(x >= 1 for x in lam)
-                    and all(dot(lam, g) >= dot(lam, y0) for g in sub.generators),
-                    "witness weights lam >= 1 make the projected query a minimizer",
-                )
+                check(_has_proper_weights(sub, y0) == (sel == r.witness), "subset route")
     return SuiteResult("reducibility", True, check.count)
 
 

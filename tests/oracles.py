@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately share no code with the package: plain quadratic scans
-for dominance and brute-force vertex enumeration for linear programs.
+These deliberately share no code with the routes they check: plain
+quadratic scans for dominance and brute-force vertex enumeration for
+linear programs.  The hull weights, which the package reads from a double
+description, are checked against the package's simplex instead.
 """
 
 from fractions import Fraction
@@ -97,3 +99,18 @@ def oracle_lp_minimum(objective, rows, rhs):
     if not vertices:
         return None
     return min(sum(c * v for c, v in zip(objective, x)) for x in vertices)
+
+
+def oracle_proper_weights(generators, y0):
+    """Weights lam >= 1 with lam . (g - y0) >= 0 for every generator g, or
+    None when there are none: y0 is then not properly nondominated in
+    conv(generators).  The scaling lam >= 1 stands in for strict
+    positivity, which the inequalities allow because they are positively
+    homogeneous in lam.  Solved as one LP by the package's simplex, which
+    shares no code with the double description."""
+    from pareto_kit.numerics import GE, OPTIMAL, linprog, lp_solve
+
+    p = len(y0)
+    rows = [([a - b for a, b in zip(g, y0)], GE, 0) for g in generators]
+    outcome = lp_solve(linprog([0] * p, rows, lower=[1] * p))
+    return outcome.point if outcome.status == OPTIMAL else None

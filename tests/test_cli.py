@@ -279,12 +279,16 @@ def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch)
     # in_hull comes from the weak program, whose first objective is
     # membership: one weak program per query (2 generators plus delta),
     # and no separate membership LP; the member then solves one
-    # nondominance program (2 generators) and one weight LP
+    # nondominance program (2 generators) and reads one weight cone
     from pareto_kit import hulls
 
     calls = _count_calls(
         monkeypatch,
-        [(hulls, "hull_contains"), (hulls, "lp_solve_batch"), (hulls, "lp_solve")],
+        [
+            (hulls, "hull_contains"),
+            (hulls, "lp_solve_batch"),
+            (hulls, "_weight_rays"),
+        ],
     )
     hull_path = _write(
         tmp_path, "hull.json", json.dumps({"generators": [["1", "0"], ["0", "1"]]})
@@ -296,7 +300,7 @@ def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch)
     assert data["queries"][0]["properly_nondominated"]
     assert calls["hull_contains"] == 0
     assert calls["width 3"] == 2
-    assert calls["width 2"] == calls["lp_solve"] == 1
+    assert calls["width 2"] == calls["_weight_rays"] == 1
     assert calls["lp_solve_batch"] == 3
 
 
@@ -510,7 +514,7 @@ def test_connectivity_tsv_shape():
 def test_dominated_hull_query_solves_two_lps(tmp_path, capsys, monkeypatch):
     # one program: membership and the weak objective over one template
     # and one phase 1; its checked dominator settles the nondominance and
-    # proper-nondominance verdicts without their LPs
+    # proper-nondominance verdicts without their LP and weight cone
     import importlib
 
     from pareto_kit import hulls
@@ -519,7 +523,7 @@ def test_dominated_hull_query_solves_two_lps(tmp_path, capsys, monkeypatch):
     calls = _count_calls(
         monkeypatch,
         [
-            (hulls, "lp_solve"),
+            (hulls, "_weight_rays"),
             (hulls, "lp_solve_batch"),
             (linprog_module, "_template"),
             (linprog_module, "_phase1"),

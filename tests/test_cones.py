@@ -343,12 +343,19 @@ def _planted_row_routes():
     InternalInconsistency from every route that reads the description.
 
     Patches by hand and raises instead of asserting, so that it checks
-    the same under ``python -O``.
+    the same under ``python -O``.  The hull routes read the weight cone
+    of a nondominated member and of a weakly nondominated query.
     """
-    from pareto_kit import cones
+    from pareto_kit import (
+        cones,
+        hull,
+        hull_is_properly_nondominated,
+        hull_reducibility_check,
+    )
 
     c = cone([(2, 1), (1, 3)])
     points = [(0, 0), (1, 1), (3, 4)]
+    w = hull([(1, 0), (0, 1), (1, 1)])
     routes = [
         lambda: cone_contains(c, (1, 1)),
         lambda: is_pointed(c),
@@ -356,6 +363,8 @@ def _planted_row_routes():
         lambda: strictly_positive_direction(c),
         lambda: cone_nondominated_set(points, c),
         lambda: find_dominator_cone(points, c, (3, 4), (1, 1)),
+        lambda: hull_is_properly_nondominated(w, (1, 0)),
+        lambda: hull_reducibility_check(w, [(0, 1)]),
     ]
     real = cones._polar
     plants = [

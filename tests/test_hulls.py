@@ -16,6 +16,8 @@ from pareto_kit.errors import InternalInconsistency, NotInHull
 from pareto_kit.generate import gen_hull, gen_hull_queries
 from pareto_kit.numerics import UNBOUNDED, LpOutcome, dot
 
+from oracles import oracle_proper_weights
+
 HALF = Fraction(1, 2)
 
 
@@ -157,8 +159,9 @@ def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
 
 def test_isermann_nondominated_hull_points_are_proper():
     # a polytope's nondominated points are all properly nondominated
-    # (Isermann 1974); lambda feasibility and the nondominance program are
-    # separate LPs, so their agreement is a measurement, not a tautology
+    # (Isermann 1974); the oracle's lambda LP and the nondominance program
+    # are separate routes, so their agreement is a measurement, not a
+    # tautology; the witness read from the weight cone meets the LP's rows
     rng = random.Random(43)
     seen = {True: 0, False: 0}
     for trial in range(100):
@@ -166,7 +169,15 @@ def test_isermann_nondominated_hull_points_are_proper():
         w = gen_hull(p, rng.randint(1, 10), trial + 500)
         for q in gen_hull_queries(w, 4, trial + 500) + list(w.generators):
             nd = hull_is_nondominated(w, q)
-            assert hulls._properly_nondominated(w, q).verdict == nd
+            assert (oracle_proper_weights(w.generators, q) is not None) == nd
+            lam = hull_is_properly_nondominated(w, q).witness
+            assert (lam is not None) == nd
+            if nd:
+                assert all(x >= 1 for x in lam)
+                assert all(
+                    dot(lam, tuple(a - b for a, b in zip(g, q))) >= 0
+                    for g in w.generators
+                )
             seen[nd] += 1
     assert min(seen.values()) > 200
 
@@ -410,17 +421,17 @@ def test_planted_membership_weights_raise_under_python_O(tmp_path):
 
 
 def test_dominated_member_solves_no_weight_lp(monkeypatch):
-    # the nondominance program settles a dominated member: (1, 1) is
-    # strictly dominated, (1, 0) only weakly nondominated, as (0, 0)
-    # lies below it with a smaller sum
+    # the nondominance program settles a dominated member with no weight
+    # cone: (1, 1) is strictly dominated, (1, 0) only weakly
+    # nondominated, as (0, 0) lies below it with a smaller sum
     calls = []
-    real = hulls.lp_solve
+    real = hulls._weight_rays
 
-    def counted(lp):
-        calls.append(lp)
-        return real(lp)
+    def counted(gens, target):
+        calls.append(target)
+        return real(gens, target)
 
-    monkeypatch.setattr(hulls, "lp_solve", counted)
+    monkeypatch.setattr(hulls, "_weight_rays", counted)
     for w, y0 in (
         (hull([(1, 0), (0, 1), (1, 1)]), (1, 1)),
         (hull([(0, 0), (1, 0)]), (1, 0)),
@@ -431,10 +442,11 @@ def test_dominated_member_solves_no_weight_lp(monkeypatch):
     assert proper.verdict and len(calls) == 1
 
 
-def _planted_infeasible_weights_routes(tmp_dir):
-    """Plant an INFEASIBLE weight LP for a nondominated member and require
-    the public classifier and ``hull --query`` to raise, not to read it
-    as a False verdict.
+def _planted_weight_cone_routes(tmp_dir):
+    """Plant a weight cone with no strictly positive weight (no ray, a ray
+    with a zero entry) and one with a line, for a nondominated member, and
+    require the public classifier and ``hull --query`` to raise, not to
+    read it as a False verdict.
 
     Patches by hand and raises instead of asserting, so that it checks
     the same under ``python -O``.
@@ -442,7 +454,6 @@ def _planted_infeasible_weights_routes(tmp_dir):
     import json
 
     from pareto_kit import cli
-    from pareto_kit.numerics import INFEASIBLE
 
     w = hull([(1, 0), (0, 1)])
     path = f"{tmp_dir}/hull.json"
@@ -454,22 +465,23 @@ def _planted_infeasible_weights_routes(tmp_dir):
             raise InternalInconsistency("hull --query exited 1")
 
     routes = [lambda: hull_is_properly_nondominated(w, (HALF, HALF)), cli_route]
-    real = hulls.lp_solve
-    hulls.lp_solve = lambda lp: LpOutcome(INFEASIBLE)
+    real = hulls._description
     try:
-        for route in routes:
-            try:
-                route()
-            except InternalInconsistency:
-                continue
-            raise AssertionError("an INFEASIBLE weight LP was read as a verdict")
+        for planted in (([], []), ([], [(1, 0)]), ([(1, -1)], [(1, 1)])):
+            hulls._description = lambda rows, planted=planted: planted
+            for route in routes:
+                try:
+                    route()
+                except InternalInconsistency:
+                    continue
+                raise AssertionError(f"the planted weight cone {planted} was used")
     finally:
-        hulls.lp_solve = real
+        hulls._description = real
 
 
 def test_planted_infeasible_weights_raise(tmp_path, capsys):
-    _planted_infeasible_weights_routes(tmp_path)
+    _planted_weight_cone_routes(tmp_path)
 
 
 def test_planted_infeasible_weights_raise_under_python_O(tmp_path):
-    _under_python_O(f"_planted_infeasible_weights_routes({str(tmp_path)!r})")
+    _under_python_O(f"_planted_weight_cone_routes({str(tmp_path)!r})")

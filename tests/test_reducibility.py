@@ -26,7 +26,7 @@ from pareto_kit.errors import (
 from pareto_kit.generate import gen_finite, gen_hull, gen_hull_queries
 from pareto_kit.reducibility import all_selectors, instance_from_json, instance_to_json
 
-from oracles import oracle_weakly_nondominated
+from oracles import oracle_proper_weights, oracle_weakly_nondominated
 
 HALF = Fraction(1, 2)
 
@@ -205,10 +205,15 @@ def test_hull_reducibility_examples():
     simple = hull_reducibility_check(hull([(1, 0), (0, 1)]), [(HALF, HALF)])
     assert simple[0].lhs and simple[0].rhs
     assert simple[0].witness == (1, 2)
+    # the double description lists a ray with support {2, 3} before one
+    # with support {1, 2}; the witness is the first selector that works
+    w = gen_hull(4, 9, 16)
+    assert hull_reducibility_check(w, [w.generators[-1]])[0].witness == (1, 2)
 
 
 def _check_against_subset_route(seed, max_p, offset):
-    # every selector's subproblem solved, as an oracle: a query whose weak
+    # every selector's subproblem solved by the oracle's lambda LP, a
+    # route apart from the weight cone the check reads: a query whose weak
     # LP finds a strict dominator is properly nondominated in no
     # projection, and a weakly nondominated query's witness is the first
     # selector whose subproblem makes it properly nondominated; returns
@@ -222,10 +227,11 @@ def _check_against_subset_route(seed, max_p, offset):
         records = hull_reducibility_check(w, queries)
         for q, r in zip(queries, records):
             proper = [
-                hulls._properly_nondominated(
-                    hull([tuple(g[i - 1] for i in sel) for g in w.generators]),
+                oracle_proper_weights(
+                    [tuple(g[i - 1] for i in sel) for g in w.generators],
                     tuple(q[i - 1] for i in sel),
-                ).verdict
+                )
+                is not None
                 for sel in all_selectors(p)
             ]
             assert r.lhs == r.rhs
@@ -266,13 +272,15 @@ def _count_calls(monkeypatch, sites):
 
 def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
     # p = 4: one program, membership and the weak objective over one
-    # template and one phase 1, where solving every selector's
-    # subproblem would take 15 more LPs
+    # template and one phase 1, and no weight cone, whose rays would
+    # answer all 15 selectors
+    from pareto_kit import reducibility
+
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     calls = _count_calls(
         monkeypatch,
         [
-            (hulls, "lp_solve"),
+            (reducibility, "_weight_rays"),
             (hulls, "lp_solve_batch"),
             (linprog_module, "_template"),
             (linprog_module, "_phase1"),
@@ -282,6 +290,35 @@ def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
     (record,) = hull_reducibility_check(w, [(1, 1, 1, 1)])
     assert (record.lhs, record.rhs, record.witness) == (False, False, None)
     assert calls == {"lp_solve_batch": 1, "_template": 1, "_phase1": 1}
+
+
+def test_nondominated_hull_query_reads_one_weight_cone(monkeypatch):
+    # p = 4: a nondominated member's proper verdict and a weakly
+    # nondominated query's record each solve one program (one template,
+    # one phase 1) and read one weight cone; no lambda LP is solved
+    from pareto_kit import hull_is_properly_nondominated, reducibility
+
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    calls = _count_calls(
+        monkeypatch,
+        [
+            (hulls, "_weight_rays"),
+            (reducibility, "_weight_rays"),
+            (hulls, "lp_solve_batch"),
+            (linprog_module, "lp_solve"),
+            (linprog_module, "_template"),
+            (linprog_module, "_phase1"),
+        ],
+    )
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    w = hull(units + [(2, 2, 2, 2)])
+    once = {"_weight_rays": 1, "lp_solve_batch": 1, "_template": 1, "_phase1": 1}
+    assert hull_is_properly_nondominated(w, units[0]).witness == (1, 2, 2, 2)
+    assert calls == once
+    calls.clear()
+    (record,) = hull_reducibility_check(w, [units[0]])
+    assert (record.lhs, record.rhs, record.witness) == (True, True, (2,))
+    assert calls == once
 
 
 def test_instance_json_round_trip():
@@ -305,13 +342,10 @@ def test_labels_not_a_list_of_strings(labels):
 def test_mismatch_message_writes_the_point_as_rationals(monkeypatch):
     from pareto_kit import reducibility
     from pareto_kit.errors import InternalInconsistency
-    from pareto_kit.hulls import ProperVerdict
 
-    # every selector planted as failing, so the weakly nondominated query
-    # reaches the mismatch
-    monkeypatch.setattr(
-        reducibility, "_properly_nondominated", lambda w, y: ProperVerdict(False, None)
-    )
+    # an empty weight cone planted, so that every selector fails and the
+    # weakly nondominated query reaches the mismatch
+    monkeypatch.setattr(reducibility, "_weight_rays", lambda gens, target: [])
     w = hull([(0, 1), (1, 0)])
     message = r"^weak/proper reducibility mismatch at \(1/2, 1/2\): lhs=True rhs=False$"
     with pytest.raises(InternalInconsistency, match=message):

@@ -64,18 +64,29 @@ def test_benchmark_caches_exist():
             assert callable(fn.cache_clear) and callable(fn.cache_info), name
 
 
-def test_cones_import_no_lp():
-    """Cone membership, pointedness, properness and the strictly positive
-    direction are read from the checked double description; no LP."""
-    path = Path(pareto_kit.__file__).resolve().parent / "cones.py"
+def _lp_imports(name: str) -> list[str]:
+    """The LP names and modules that ``pareto_kit/<name>`` imports."""
+    path = Path(pareto_kit.__file__).resolve().parent / name
     lp_names = {"linprog", "lp_solve", "lp_solve_batch"}
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             names = {alias.name for alias in node.names}
-            if module.endswith("linprog") or names & lp_names:
-                found.append(f"{module}: {sorted(names)}")
+            if module.endswith("linprog"):
+                found.append(module)
+            found += sorted(names & lp_names)
         elif isinstance(node, ast.Import):
             found += [a.name for a in node.names if a.name.endswith("linprog")]
-    assert found == []
+    return found
+
+
+def test_cones_import_no_lp():
+    """Cone membership, pointedness, properness and the strictly positive
+    direction are read from the checked double description; no LP.  So
+    are the hull weights: ``hulls`` keeps only the batch that its
+    membership, weak and nondominance programs share, and
+    ``reducibility`` reads the weight cone and solves no LP itself."""
+    assert _lp_imports("cones.py") == []
+    assert _lp_imports("reducibility.py") == []
+    assert not {"lp_solve", "linprog"} & set(_lp_imports("hulls.py"))

@@ -18,7 +18,11 @@ from pareto_kit.cones import cone_contains, strictly_positive_direction
 from pareto_kit.errors import DimensionMismatch, MalformedInput, NotMember, NotPointed
 from pareto_kit.generate import gen_cone, gen_finite
 from pareto_kit.numerics import dot
-from pareto_kit.stability import certificate_from_json, certificate_to_json
+from pareto_kit.stability import (
+    DominatorCertificate,
+    certificate_from_json,
+    certificate_to_json,
+)
 
 ONES = (Fraction(1), Fraction(1))
 
@@ -213,3 +217,56 @@ def test_supplied_direction_on_lower_rank_pointed_cone():
         points[j] for j in cert.assignments.values()
     ]
     assert external_stability_certificate(points, ordering).assignments == cert.assignments
+
+
+# Two copies of (1, 2), the frontier point (2, 1), (2, 2), which both
+# values dominate, and (3, 1), which only (2, 1) dominates: the copies let
+# a frontier point sit below another one (equal) without being itself.
+# VALID is the built certificate; each rejection below changes it in one
+# way, and the first entry to fail a check is the changed one.
+SHARED = [(1, 2), (1, 2), (2, 1), (2, 2), (3, 1)]
+VALID = {0: 0, 1: 1, 2: 2, 3: 0, 4: 2}
+ORDERINGS = pytest.mark.parametrize(
+    "ordering", [None, natural_cone(2)], ids=["plain", "cone"]
+)
+
+
+def _verifies(assignments, ordering) -> bool:
+    return verify_certificate(SHARED, DominatorCertificate(assignments, ordering))
+
+
+@ORDERINGS
+def test_verify_accepts_the_built_certificate(ordering):
+    assert external_stability_certificate(SHARED, ordering).assignments == VALID
+    assert _verifies(VALID, ordering)
+
+
+@ORDERINGS
+def test_verify_rejects_a_partial_assignment(ordering):
+    # index 4 has no dominator
+    assert not _verifies({0: 0, 1: 1, 2: 2, 3: 0}, ordering)
+
+
+@ORDERINGS
+def test_verify_rejects_a_dominator_off_the_frontier(ordering):
+    # (2, 2) is dominated, so it cannot stand for itself
+    assert not _verifies({**VALID, 3: 3}, ordering)
+
+
+@ORDERINGS
+def test_verify_rejects_a_dominator_not_below_its_source(ordering):
+    # (1, 2) is on the frontier but not below (3, 1)
+    assert not _verifies({**VALID, 4: 0}, ordering)
+
+
+@ORDERINGS
+def test_verify_rejects_an_assignment_that_is_not_idempotent(ordering):
+    # (2, 2) maps to copy 1, which lies below it, but copy 1 maps on to
+    # copy 0; the entry of (2, 2) comes first
+    assert not _verifies({3: 1, 0: 0, 1: 0, 2: 2, 4: 2}, ordering)
+
+
+@ORDERINGS
+def test_verify_rejects_a_nondominated_source_mapped_elsewhere(ordering):
+    # copy 1 is nondominated yet maps to copy 0, which maps to itself
+    assert not _verifies({**VALID, 1: 0}, ordering)
