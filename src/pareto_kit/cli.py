@@ -58,33 +58,30 @@ def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
 
-def _cmd_nondom(args) -> int:
+def _classify(args):
+    """The points, their classification and the keys that ``nondom`` and
+    ``proper`` share."""
     points = _load_points(args.input)
     report = properly_nondominated_set(points)
-    data = {
+    return points, report, {
         "dimension": len(points[0]),
         "points": len(points),
         "nondominated": _one_based(report.nondominated),
         "weakly_nondominated": _one_based(report.weakly_nondominated),
-        "duplicates": [_one_based(g) for g in PointSet(tuple(points)).duplicate_groups()],
     }
+
+
+def _cmd_nondom(args) -> int:
+    points, _, data = _classify(args)
+    data["duplicates"] = [_one_based(g) for g in PointSet(tuple(points)).duplicate_groups()]
     _emit(kio.dump_json(data), args.output)
     return 0
 
 
 def _cmd_proper(args) -> int:
-    points = _load_points(args.input)
-    report = properly_nondominated_set(points)
-    data = {
-        "dimension": len(points[0]),
-        "points": len(points),
-        "nondominated": _one_based(report.nondominated),
-        "weakly_nondominated": _one_based(report.weakly_nondominated),
-        "properly_nondominated": _one_based(report.properly_nondominated),
-        "bounds": {
-            str(i + 1): rational_format(bound) for i, bound in report.bounds.items()
-        },
-    }
+    _, report, data = _classify(args)
+    data["properly_nondominated"] = _one_based(report.properly_nondominated)
+    data["bounds"] = {str(i + 1): rational_format(b) for i, b in report.bounds.items()}
     _emit(kio.dump_json(data), args.output)
     return 0
 
@@ -138,11 +135,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_hull(args) -> int:
     hull_set = kio.hull_from_json(kio.load_json(_read(args.input)))
-    queries = []
-    if args.queries:
-        queries.extend(_load_points(args.queries))
-    for text in args.query or []:
-        queries.append(tuple(rational_parse(c) for c in text.split(",")))
+    queries = list(_load_points(args.queries)) if args.queries else []
+    queries += [tuple(map(rational_parse, text.split(","))) for text in args.query or []]
     if not queries:
         raise MalformedInput("provide --query or --queries")
     records = []
@@ -285,6 +279,15 @@ def _cmd_selftest(args) -> int:
     return 0 if data["ok"] else 1
 
 
+def _scale(text: str) -> float:
+    """``selftest --scale``: a finite positive float (argparse reports text
+    that is no float at all)."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused:
@@ -352,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run every module's invariant suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--output", default=None, help="JSON report path")
     p.set_defaults(fn=_cmd_selftest)
 

@@ -10,7 +10,8 @@ membership, pointedness, properness and a direction with strictly
 positive inner product against every generator are integer sign checks
 and sums over this description; no linear program is solved.  The same
 checked routine, run on the rows of -A, gives the lines and extreme rays
-of a polyhedron's recession cone {d : A d <= 0}.
+of a polyhedron's recession cone {d : A d <= 0}, and with -e_1, ..., -e_p
+added, of {d : A d <= 0, d <= 0}.  Each direction is one ray sum.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     MalformedInput,
     NotPointed,
 )
-from .numerics.rational import as_matrix, as_point, common_denominator
+from .numerics.rational import as_matrix, as_point, common_denominator, rational_format
 
 # Entries kept by each lru_cache below; a long-running process reuses at
 # most this many cones' verdicts and does not grow past them.
@@ -210,16 +211,21 @@ def cone_contains(c: PolyhedralCone, y) -> bool:
     return _cone_precedes(c, [(0,) * c.dim, common_denominator(point)[0]])(0, 1)
 
 
+def _ray_sum(rays) -> tuple[int, ...]:
+    """The rays' sum divided by the gcd of its entries; () with no ray."""
+    total = [sum(column) for column in zip(*rays)]
+    k = gcd(*total)
+    return tuple(x // k for x in total) if k > 1 else tuple(total)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def is_pointed(c: PolyhedralCone) -> bool:
-    """True when the cone contains no line.
-
-    For a finitely generated cone the lineality space is nontrivial exactly
-    when some negated generator is itself in the cone.
-    """
+    """True when the cone contains no line: exactly when the polar's ray
+    sum is strictly positive on every generator (see
+    ``strictly_positive_direction``)."""
     gens = _integer_generators(c)
-    precedes = _cone_precedes(c, [(0,) * c.dim] + gens)
-    return not any(precedes(k, 0) for k in range(1, len(gens) + 1))
+    total = _ray_sum(_description(gens)[1])
+    return all(_idot(total, g) > 0 for g in gens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -248,19 +254,16 @@ def strictly_positive_direction(c: PolyhedralCone) -> tuple[Fraction, ...]:
     lineality, rays = _description(gens)
     if not (lineality or rays):
         raise ImproperCone("direction synthesis needs a proper cone")
-    total = [sum(column) for column in zip(*rays)]
+    total = _ray_sum(rays)
     if not all(_idot(total, g) > 0 for g in gens):
         raise NotPointed(
             "cone is not pointed: it contains a line, so no strictly "
             "positive direction exists"
         )
-    k = gcd(*total)
-    return tuple(Fraction(x // k) for x in total)
+    return tuple(map(Fraction, total))
 
 
 def cone_to_json(c: PolyhedralCone) -> dict:
-    from .numerics.rational import rational_format
-
     return {
         "generators": [[rational_format(x) for x in g] for g in c.generators]
     }

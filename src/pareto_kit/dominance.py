@@ -94,6 +94,8 @@ def _cone_order(scaled: list[tuple[int, ...]], ordering: PolyhedralCone, directi
     d . y is taken on d and the values, both scaled to integers: positive
     factors keep every comparison of the keys.
     """
+    if ordering.dim != len(scaled[0]):
+        raise DimensionMismatch(f"cone dim {ordering.dim} vs point dim {len(scaled[0])}")
     d = common_denominator(direction)[0]
     w = [sum(map(mul, d, y)) for y in scaled]
     precedes = _cone_precedes(ordering, scaled)
@@ -257,11 +259,6 @@ def cone_nondominated_set(points, ordering: PolyhedralCone) -> list[int]:
     undominated values kept so far and only after the exact prefilter
     d . z < d . y for the strictly positive direction d of the cone.
     """
-    pts = _checked(points)
-    if ordering.dim != len(pts[0]):
-        raise DimensionMismatch(
-            f"cone dim {ordering.dim} vs point dim {len(pts[0])}"
-        )
     direction = strictly_positive_direction(ordering)
-    values, groups = _unique_groups(scaled_rows(pts))
+    values, groups = _unique_groups(scaled_rows(_checked(points)))
     return _survivors(_dominators(*_cone_order(values, ordering, direction)), groups)

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .cones import _description
+from .cones import _description, _ray_sum
 from .errors import DimensionMismatch, EmptySet, InternalInconsistency, NotInHull
 from .numerics import EQ, INFEASIBLE, LE, OPTIMAL, rational_format
 from .numerics.linprog import lp_solve_batch
@@ -198,8 +198,7 @@ def hull_is_properly_nondominated(w: HullSet, y0) -> ProperVerdict:
     _, gens, target, outcome = _verdict(w, y0, _SUM)
     if outcome.value != sum(target):
         return ProperVerdict(False, None)
-    total = [sum(column) for column in zip(*_weight_rays(gens, target))]
+    total = _ray_sum(_weight_rays(gens, target))
     if not total or not all(total):
         raise InternalInconsistency("a nondominated hull point has no proper weights")
-    k = gcd(*total)
-    return ProperVerdict(True, tuple(Fraction(x // k) for x in total))
+    return ProperVerdict(True, tuple(map(Fraction, total)))

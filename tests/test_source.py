@@ -90,3 +90,35 @@ def test_cones_import_no_lp():
     assert _lp_imports("cones.py") == []
     assert _lp_imports("reducibility.py") == []
     assert not {"lp_solve", "linprog"} & set(_lp_imports("hulls.py"))
+
+
+def _functions_naming(name: str, wanted) -> dict[str, set[str]]:
+    """For each top-level function of ``pareto_kit/<name>``, the names in
+    ``wanted`` that its body reads; "<module>" collects the rest."""
+    path = Path(pareto_kit.__file__).resolve().parent / name
+    tree = ast.parse(path.read_text(), str(path))
+    found: dict[str, set[str]] = {}
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and inner.id in wanted:
+                found.setdefault(owner, set()).add(inner.id)
+    return found
+
+
+def test_polyhedra_lps_only_in_feasible_point_and_section_minima():
+    """The section recession direction reads the double description; only
+    the feasible point and the section minima solve LPs."""
+    lp_names = {"linprog", "lp_solve", "lp_solve_batch"}
+    users = _functions_naming("polyhedra.py", lp_names)
+    assert set(users) == {"feasible_point", "_section_minima"}
+
+
+def test_ray_sum_over_gcd_is_written_once():
+    """One helper, ``cones._ray_sum``, sums rays and divides by the gcd:
+    no other function of these modules names both ``sum`` and ``gcd``."""
+    found = []
+    for name in ("cones.py", "hulls.py", "polyhedra.py"):
+        users = _functions_naming(name, {"sum", "gcd"})
+        found += [f"{name}:{f}" for f, names in users.items() if names == {"sum", "gcd"}]
+    assert found == ["cones.py:_ray_sum"]

@@ -124,6 +124,21 @@ def test_certificate_json_round_trip():
     assert restored.direction == cert.direction
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"assignments": [{"from": 1}]},
+        {"assignments": 5},
+        {"assignments": [{"from": "a", "to": 1}]},
+        {"assignments": [], "direction": 5},
+    ],
+    ids=["missing-to", "not-a-list", "text-index", "direction-not-a-list"],
+)
+def test_certificate_from_json_rejects_malformed_input(data):
+    with pytest.raises(MalformedInput):
+        certificate_from_json(data)
+
+
 def _cone_reference_sets():
     """About 150 seeded (points, cone) pairs with planted duplicate points."""
     rng = random.Random(59)
