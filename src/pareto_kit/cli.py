@@ -36,7 +36,7 @@ from .stability import (
     external_stability_certificate,
     verify_certificate,
 )
-from .selftest import run_all
+from .selftest import check_scale, run_all
 
 
 def _read(path: str) -> str:
@@ -282,10 +282,10 @@ def _cmd_selftest(args) -> int:
 def _scale(text: str) -> float:
     """``selftest --scale``: a finite positive float (argparse reports text
     that is no float at all)."""
-    value = float(text)
-    if not 0 < value < float("inf"):  # also false for nan
-        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
-    return value
+    try:
+        return check_scale(float(text))
+    except MalformedInput:
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}") from None
 
 
 @functools.cache

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, lt, mul
+from operator import le, lt, mul, sub
 
 from .cones import PolyhedralCone, _cone_precedes, strictly_positive_direction
 from .errors import (
@@ -148,7 +148,13 @@ def _surviving_indices(scaled: list[tuple[int, ...]], strict: bool) -> list[int]
 def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
     """(index, trade-off bound) of every nondominated point, by value group.
 
-    Each bound is taken over the nondominated values alone, which costs
+    The bound of y0 is the least M capping (y0_i - y_i)/(y_j - y0_j) over
+    every competitor y and coordinate i improving on y0, with the best
+    compensating coordinate j; zero when no competitor improves anywhere.
+    The best j has the largest loss y_j - y0_j whatever i is, so the worst
+    ratio against y is its largest gain over its largest loss.
+
+    The competitors are the nondominated values alone, which costs
     O(|N|^2 p) instead of O(|N| n p).  That is exact: if z dominates y and
     y has a positive gain against the nondominated y0, then z's gain is at
     least y's and z's loss at most y's.  z is not y0, which cannot
@@ -156,13 +162,31 @@ def _frontier_bounds(groups, scaled) -> list[tuple[int, Fraction]]:
     z's loss is positive and z's ratio is at least y's.  Every dominated
     value has a nondominated dominator (finite sets are externally
     stable), so the maximum ratio is unchanged.
+
+    Each unordered pair of distinct nondominated values a, b forms
+    d = y_a - y_b once: max(d) and -min(d) are a's gain and loss against
+    b, and b's loss and gain against a.  Both are positive, or one value
+    would dominate the other.  Ratios are compared by cross-multiplication,
+    so values scaled by ``scaled_rows`` give the bounds of the rationals
+    they scale.
     """
     found = _dominators(*_componentwise(scaled, strict=False))
-    frontier = [y for y, j in zip(scaled, found) if j is None]
+    frontier = [k for k, j in enumerate(found) if j is None]
+    num, den = [0] * len(scaled), [1] * len(scaled)
+    for x, a in enumerate(frontier):
+        for b in frontier[x + 1:]:
+            d = list(map(sub, scaled[a], scaled[b]))
+            gain, loss = max(d), -min(d)
+            if gain <= 0 or loss <= 0:
+                raise InternalInconsistency("dominated reference point")
+            if gain * den[a] > num[a] * loss:
+                num[a], den[a] = gain, loss
+            if loss * den[b] > num[b] * gain:
+                num[b], den[b] = loss, gain
     out: list[tuple[int, Fraction]] = []
-    for group, y0, j in zip(groups.values(), scaled, found):
+    for k, (group, j) in enumerate(zip(groups.values(), found)):
         if j is None:
-            bound = _tradeoff_bound(frontier, y0)
+            bound = Fraction(num[k], den[k])
             out.extend((i, bound) for i in group)
     return out
 
@@ -177,33 +201,6 @@ def weakly_nondominated_set(points) -> list[int]:
     return _surviving_indices(scaled_rows(_checked(points)), strict=True)
 
 
-def _tradeoff_bound(values, y0) -> Fraction:
-    """Least M capping (y0_i - y_i)/(y_j - y0_j) for all competitors.
-
-    For every competing value y and coordinate i improving on y0, the best
-    compensating coordinate j is used; y0 nondominated guarantees such a j
-    exists.  Zero when no competitor improves anywhere.  The best j has the
-    largest loss y_j - y0_j whatever i is, so the worst ratio against y is
-    its largest gain over its largest loss.  Ratios are compared by
-    cross-multiplication, so values scaled by ``scaled_rows`` give the bound
-    of the rationals they scale.  Callers pass only the nondominated
-    values: a dominator's ratio is never smaller than that of the value it
-    dominates (see ``_frontier_bounds``), and a dominated y0 still meets a
-    competitor with a gain and no loss among them.
-    """
-    num, den = 0, 1
-    for y in values:
-        gain = max(a - b for a, b in zip(y0, y))
-        if gain <= 0:
-            continue
-        loss = max(b - a for a, b in zip(y0, y))
-        if loss <= 0:
-            raise InternalInconsistency("dominated reference point")
-        if gain * den > num * loss:
-            num, den = gain, loss
-    return Fraction(num, den)
-
-
 def geoffrion_bound(points, y0) -> Fraction:
     """Least valid trade-off constant for a nondominated member y0."""
     pts = _checked(points)
@@ -212,14 +209,12 @@ def geoffrion_bound(points, y0) -> Fraction:
         raise DimensionMismatch("reference point dimension mismatch")
     if ref not in pts:
         raise NotMember("reference point is not in the set")
-    values, _ = _unique_groups(pts)
-    scaled = scaled_rows(values)
-    k = values.index(ref)
-    found = _dominators(*_componentwise(scaled, strict=False))
-    if found[k] is not None:
+    values, groups = _unique_groups(pts)
+    bounds = dict(_frontier_bounds(groups, scaled_rows(values)))
+    i = pts.index(ref)
+    if i not in bounds:
         raise NotNondominated("reference point is dominated")
-    frontier = [y for y, j in zip(scaled, found) if j is None]
-    return _tradeoff_bound(frontier, scaled[k])
+    return bounds[i]
 
 
 @dataclass(frozen=True)

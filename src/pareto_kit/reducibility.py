@@ -4,10 +4,13 @@ An instance is a label list plus an objective matrix.  For every nonempty
 subset rho of the objectives, the efficient and properly efficient label
 sets of the projected subproblem are computed exactly, and the union over
 all 2^p - 1 subsets is compared with the weakly efficient set of the full
-problem.  On finite images the inclusion "union inside weak" always holds;
-equality can fail, and the report then lists the witnesses.  In hull mode
-(convex image by construction) both sides must agree query by query, and a
-disagreement aborts the run as an internal inconsistency.
+problem.  ``efficient_solutions`` and ``properly_efficient_solutions`` scan
+one subproblem each; the report answers every subset at once from one sort
+of the weakly efficient rows per objective, kept as rank bitsets (Tan, Eng
+and Ooi 2001).  On finite images the inclusion "union inside weak" always
+holds; equality can fail, and the report then lists the witnesses.  In
+hull mode (convex image by construction) both sides must agree query by
+query, and a disagreement aborts the run as an internal inconsistency.
 
 Selector indices are 1-based throughout, matching objective names y1..yp.
 """
@@ -16,15 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
-from .dominance import (
-    _componentwise,
-    _dominators,
-    _frontier_bounds,
-    _surviving_indices,
-    _unique_groups,
-)
+from .dominance import _frontier_bounds, _surviving_indices, _unique_groups
 from .errors import (
     DimensionMismatch,
     EmptySelector,
@@ -139,22 +136,49 @@ class ReducibilityReport:
     strict_witnesses: tuple[str, ...]
 
 
+def _rank_bits(rows: list[tuple[int, ...]], i: int) -> tuple[list[int], list[int]]:
+    """For objective i, each row's bitset of the rows at most its value
+    there (itself and its ties included) and of the rows strictly below
+    it, bit k standing for row k: one sort, one pass over its tie groups."""
+    value = [row[i] for row in rows].__getitem__
+    at_most, below = [0] * len(rows), [0] * len(rows)
+    seen = 0
+    for _, tied in groupby(sorted(range(len(rows)), key=value), value):
+        tied = list(tied)
+        bits = sum(1 << k for k in tied)
+        for k in tied:
+            at_most[k], below[k] = seen | bits, seen
+        seen |= bits
+    return at_most, below
+
+
 def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -> ReducibilityReport:
     """Compare the weakly efficient set against the subproblem unions.
 
     The objectives are scaled to integers once, and one strict scan of
-    them finds the weakly efficient (WE) rows.  Each selector then groups
-    the projections of those integer WE rows and runs one non-strict
-    scan, with no bounds: on finite sets proper efficiency equals
-    efficiency, so ``union_pe`` holds the labels of ``union_e`` in
-    value-group order.  Leaving the other rows out
-    is exact.  A row that is not WE is strictly beaten in every objective
-    by some WE row, so in every projection its value is dominated and no
-    value carrying it is nondominated.  A dominated projected value keeps
-    a nondominated dominator, whose rows are all WE, so the restricted
-    scan keeps the same nondominated values.  Their groups hold the same
-    rows, met in the same row order, so both unions keep the order that
-    ``efficient_solutions`` and ``properly_efficient_solutions`` give.
+    them finds the weakly efficient (WE) rows.  Leaving the other rows
+    out of every subproblem is exact.  A row that is not WE is strictly
+    beaten in every objective by some WE row, so in every projection its
+    value is dominated.  A dominated projected value keeps a nondominated
+    dominator, whose rows are all WE, so the WE rows alone decide which
+    of them are efficient in each subproblem.
+
+    One sort per objective i gives, for each WE row a, the bitsets
+    at_most[i][a] (WE rows b with b_i <= a_i) and below[i][a]
+    (b_i < a_i), after the bitmap skyline of Tan, Eng and Ooi 2001.  Row
+    a is efficient for the selector I exactly when no row is at most a on
+    I and below it somewhere in I: AND of at_most[i][a] over I, AND the OR
+    of below[i][a] over I, is 0.  Rows equal to a on I are never below it,
+    so they stay in that AND, and its lowest bit is the first WE row with
+    a's projection.  Each row walks the selectors in ``all_selectors``
+    order and stops at the first that works: its selector in both unions.
+    On finite sets proper efficiency equals efficiency, so ``union_pe``
+    holds the labels of ``union_e``.  ``union_e`` is ordered by (first
+    selector, row), the order in which ``efficient_solutions`` lists
+    them; ``union_pe`` by (first selector, first row with the same
+    projection onto it, row), the value-group order of
+    ``properly_efficient_solutions``.  A WE row that no selector makes
+    efficient is a strict witness.
     """
     if inst.p > max_objectives:
         raise TooManyObjectives(
@@ -164,20 +188,23 @@ def reducibility_report(inst: MopInstance, max_objectives: int = SELECTOR_CAP) -
     rows = _surviving_indices(scaled, strict=True)
     we = [inst.labels[i] for i in rows]
     we_rows = [scaled[i] for i in rows]
-    union_e: dict[str, Selector] = {}
-    union_pe: dict[str, Selector] = {}
-    for sel in all_selectors(inst.p):
-        values, groups = _unique_groups(_project(we_rows, sel))
-        found = _dominators(*_componentwise(values, strict=False))
-        frontier = [
-            rows[k] for group, j in zip(groups.values(), found) if j is None for k in group
-        ]
-        # union_e takes labels in row order, as efficient_solutions lists
-        # them; union_pe in value order, as properly_efficient_solutions
-        for i in sorted(frontier):
-            union_e.setdefault(inst.labels[i], sel)
-        for i in frontier:
-            union_pe.setdefault(inst.labels[i], sel)
+    ranks = [_rank_bits(we_rows, i) for i in range(inst.p)]
+    selectors = all_selectors(inst.p)
+    firsts = []  # (selector position, lead row, row) of each efficient WE row
+    for k in range(len(rows)):
+        at_most = [bits[k] for bits, _ in ranks]
+        below = [bits[k] for _, bits in ranks]
+        for s, sel in enumerate(selectors):
+            same, lower = -1, 0
+            for i in sel:
+                same &= at_most[i - 1]
+                lower |= below[i - 1]
+            if not same & lower:
+                firsts.append((s, (same & -same).bit_length() - 1, k))
+                break
+    by_row = sorted(firsts, key=lambda first: (first[0], first[2]))
+    union_e = {we[k]: selectors[s] for s, _, k in by_row}
+    union_pe = {we[k]: selectors[s] for s, _, k in sorted(firsts)}
     we_set = set(we)
     if not set(union_pe) <= set(union_e) <= we_set:
         raise InternalInconsistency("subproblem unions escaped the weak set")

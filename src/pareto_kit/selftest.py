@@ -28,7 +28,7 @@ from .dominance import (
     nondominated_set,
     properly_nondominated_set,
 )
-from .errors import ParetoKitError
+from .errors import MalformedInput, ParetoKitError
 from .hulls import (
     HullSet,
     hull_contains,
@@ -210,6 +210,10 @@ def _suite_orders_cones(seed: int, scale: float) -> SuiteResult:
                 "membership is scale invariant",
             )
         check(is_pointed(cone), "generated cones are pointed")
+        # g and -g span a line, which no pointed cone holds
+        g = cone.generators[trial % len(cone.generators)]
+        line = PolyhedralCone(cone.generators + (tuple(-x for x in g),))
+        check(not is_pointed(line), "a generator and its negation make a line")
     return SuiteResult("orders-cones", True, check.count)
 
 
@@ -390,9 +394,12 @@ def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
         inst = mop_instance([f"x{i + 1}" for i in range(n)], rows)
         report = reducibility_report(inst)
         we = set(report.we_set)
-        check(set(report.union_pe) <= set(report.union_e) <= we, "union chain")
+        first = {}  # label -> the first selector whose scan finds it efficient
         for sel in all_selectors(p):
-            efficient = set(efficient_solutions(inst, sel))
+            listed = efficient_solutions(inst, sel)
+            for label in listed:
+                first.setdefault(label, sel)
+            efficient = set(listed)
             proper = set(properly_efficient_solutions(inst, sel))
             projected = [tuple(row[i - 1] for i in sel) for row in rows]
             weak_sub = {
@@ -400,6 +407,13 @@ def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
             }
             check(proper <= efficient <= weak_sub, "per-selector chain")
             check(efficient <= we, "subproblem efficiency lands in the weak set")
+        # the sieve by a second route: each label's first selector, in the
+        # order of the per-selector scans, and no selector for a witness
+        check(list(first.items()) == list(report.union_e.items()), "first selectors")
+        check(
+            report.strict_witnesses == tuple(x for x in report.we_set if x not in first),
+            "strict witnesses are efficient in no subproblem",
+        )
         lam = tuple(Fraction(rng.randint(0, 3)) for _ in range(p))
         if any(lam):
             support = tuple(i + 1 for i, v in enumerate(lam) if v > 0)
@@ -498,8 +512,19 @@ _SUITES = (
 )
 
 
+def check_scale(scale: float) -> float:
+    """``scale`` itself when it is a finite positive number."""
+    if not 0 < scale < float("inf"):  # also false for nan
+        raise MalformedInput(f"scale must be a finite positive number, not {scale!r}")
+    return scale
+
+
 def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteResult]:
-    """Every suite's result; one that ran no check (a small ``scale``) fails."""
+    """Every suite's result; one that ran no check (a small ``scale``) fails.
+
+    A ``scale`` that is not a finite positive number raises
+    ``MalformedInput`` before any suite runs."""
+    check_scale(scale)
     results = []
     for name, suite in _SUITES:
         try:

@@ -359,6 +359,17 @@ def test_selftest_scale_not_finite_and_positive_is_a_usage_error(capsys, scale):
     assert "--scale" in captured.err
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0, -1])
+def test_run_all_refuses_scale_before_any_suite(monkeypatch, scale):
+    from pareto_kit import selftest
+
+    ran = []
+    monkeypatch.setattr(selftest, "_SUITES", (("probe", lambda seed, s: ran.append(s)),))
+    with pytest.raises(MalformedInput, match="finite positive"):
+        selftest.run_all(seed=0, scale=scale)
+    assert ran == []
+
+
 def test_selftest_suite_that_runs_no_check_fails(tmp_path, capsys):
     out = tmp_path / "selftest.json"
     assert main(["selftest", "--scale", "0.01", "--output", str(out)]) == 1

@@ -121,6 +121,24 @@ def test_oracle_equivalence_fuzz():
             assert report.bounds[i] == oracle_geoffrion_bound(points, points[i])
 
 
+def test_bounds_match_oracle_with_ties():
+    # entries k/2 with |k| <= 3: duplicate values and ties in single
+    # coordinates are common, so pairs with a zero difference somewhere
+    # and duplicated frontier values are both met
+    rng = random.Random(19)
+    for trial in range(150):
+        p = rng.randint(2, 5)
+        n = rng.randint(1, 30)
+        points = [tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(p)) for _ in range(n)]
+        report = properly_nondominated_set(points)
+        # bounds by value group: first row of the value, then row
+        by_value = sorted(report.nondominated, key=lambda i: (points.index(points[i]), i))
+        assert list(report.bounds) == by_value
+        for i in report.nondominated:
+            expected = oracle_geoffrion_bound(points, points[i])
+            assert report.bounds[i] == geoffrion_bound(points, points[i]) == expected
+
+
 def test_cone_nondominated_matches_natural_order():
     rng = random.Random(17)
     for trial in range(20):

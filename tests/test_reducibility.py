@@ -26,7 +26,11 @@ from pareto_kit.errors import (
 from pareto_kit.generate import gen_finite, gen_hull, gen_hull_queries
 from pareto_kit.reducibility import all_selectors, instance_from_json, instance_to_json
 
-from oracles import oracle_proper_weights, oracle_weakly_nondominated
+from oracles import (
+    oracle_nondominated,
+    oracle_proper_weights,
+    oracle_weakly_nondominated,
+)
 
 HALF = Fraction(1, 2)
 
@@ -175,6 +179,58 @@ def test_unconditional_inclusion_fuzz():
             }
             assert proper <= efficient <= weak_sub
             assert efficient <= we
+
+
+def test_reducibility_report_matches_projection_oracle():
+    # each label's first selector, both dict orders, the witnesses and the
+    # flags against the quadratic oracle run on every projection of every
+    # row: union_e in (first selector, row) order, union_pe in (first
+    # selector, first row with the same projection, row) order
+    rng = random.Random(89)
+    for trial in range(120):
+        p = rng.randint(2, 6)
+        n = rng.randint(1, 40)
+        # entries k/2 with |k| <= 3: ties and duplicate rows are common
+        rows = [tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(p)) for _ in range(n)]
+        labels = [f"x{i}" for i in range(n)]
+        report = reducibility_report(mop_instance(labels, rows))
+        selectors = all_selectors(p)
+        first, lead = {}, {}
+        for s, sel in enumerate(selectors):
+            projected = [tuple(row[i - 1] for i in sel) for row in rows]
+            for k in oracle_nondominated(projected):
+                if k not in first:
+                    first[k], lead[k] = s, projected.index(projected[k])
+        we = oracle_weakly_nondominated(rows)
+        by_row = sorted(first, key=lambda k: (first[k], k))
+        by_value = sorted(first, key=lambda k: (first[k], lead[k], k))
+        assert report.we_set == tuple(labels[k] for k in we)
+        assert list(report.union_e.items()) == [(labels[k], selectors[first[k]]) for k in by_row]
+        assert list(report.union_pe.items()) == [
+            (labels[k], selectors[first[k]]) for k in by_value
+        ]
+        assert report.strict_witnesses == tuple(labels[k] for k in we if k not in first)
+        assert report.equality_e == report.equality_pe == (set(first) == set(we))
+
+
+def test_reducibility_report_scans_once(monkeypatch):
+    # p = 5: one strict scan finds the weakly efficient rows, and the rank
+    # bitsets answer all 31 selectors; every binding of the scan and the
+    # grouping is counted
+    from pareto_kit import dominance, reducibility
+
+    sites = [
+        (module, name)
+        for module in (dominance, reducibility)
+        for name in ("_dominators", "_unique_groups")
+        if hasattr(module, name)
+    ]
+    calls = _count_calls(monkeypatch, sites)
+    n = 30
+    report = reducibility_report(mop_instance([f"x{i}" for i in range(n)], gen_finite(5, n, 5)))
+    assert len(report.union_e) > 5
+    assert calls["_dominators"] == 1
+    assert calls["_unique_groups"] <= 1
 
 
 def test_weighted_sum_soundness_fuzz():
