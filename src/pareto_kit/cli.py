@@ -40,7 +40,10 @@ from .selftest import check_scale, run_all
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -155,9 +158,9 @@ def _cmd_hull(args) -> int:
         except NotInHull:
             entry["in_hull"] = False
         else:
-            # a checked strict dominator makes y0 neither nondominated nor
-            # properly nondominated, so no other LP is solved; otherwise one
-            # call decides both, which coincide on a polytope
+            # a checked strict dominator settles the other verdicts; a weakly
+            # nondominated member reads both, which coincide on a polytope,
+            # off its weight cone
             witness = None
             if weak:
                 witness = hull_is_properly_nondominated(hull_set, q).witness
@@ -220,7 +223,8 @@ def _cmd_poly(args) -> int:
 
 def _cmd_connect(args) -> int:
     data = kio.load_json(_read(args.input))
-    if args.mode == "hull" or (args.mode == "auto" and "generators" in data):
+    hull_keys = isinstance(data, dict) and "generators" in data
+    if args.mode == "hull" or (args.mode == "auto" and hull_keys):
         source = kio.hull_from_json(data)
     else:
         source = polyhedron_from_json(data)
@@ -367,10 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParetoKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ParetoKitError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,26 +9,27 @@ equal sum forces z = y, and the weights are checked to give y in
 integers before a member is reported.  A smaller maximum, or no hull
 point below the query at all (INFEASIBLE), puts it outside the hull.
 
-A verdict that needs membership adds its own objective to that program,
-over the same rows, and the two are solved as one batch: one template
-and one phase 1.  The membership objective comes first, and a
-non-member raises NotInHull.
+A program may add a column delta >= 0 to the rows of a coordinate set D
+(z + delta 1_D <= y) and maximize delta as the second objective of the
+same batch (one template, one phase 1).  A positive optimum gives a hull
+point z, checked in integers (mu >= 0, sum mu = 1, z <= y0, z_D < y0_D).
+Every dominance verdict takes one route, ``_classify``:
 
-* weak nondominance: a column delta >= 0 is added to every row
-  (z + delta 1 <= y) and delta is maximized; the query is weakly
-  nondominated iff the optimum is 0.  A positive optimum also yields a
-  strict dominator z = sum mu_k w_k, which is checked in integers
-  (mu >= 0, sum mu = 1, z_j < y0_j for every j) before it is returned:
-  its projection onto any objective subset strictly dominates the
-  projected query, so a dominated query is neither nondominated nor
-  properly nondominated in any subproblem,
-* nondominance: minimize the coordinate sum of z; the query is
-  nondominated iff the optimum equals its own sum,
-* proper nondominance equals nondominance on a polytope (Isermann
-  1974), so the nondominance program decides it.  A nondominated query
-  takes as its witness the sum of the extreme rays of its weight cone
-  {lambda >= 0 : lambda . (w - y0) >= 0 for every generator w}, read
-  from the checked double description of ``cones``.
+1. D is every coordinate.  A non-member raises NotInHull.  A positive
+   optimum gives a strict dominator, whose projection onto any objective
+   subset strictly dominates the projected query.
+2. Otherwise the query is weakly nondominated, and its weight cone
+   Q = {lambda >= 0 : lambda . (w - y0) >= 0 for every generator w} is
+   read from the checked double description of ``cones``.  Each ray is a
+   weight at which y0 minimizes over conv(W); finding none raises.  The
+   rays' sum over its gcd lies in Q.  Positive in every coordinate, it
+   certifies y0 nondominated and properly nondominated (on a polytope the
+   two coincide, Isermann 1974) and is the witness.
+3. A sum that is 0 on the coordinates Z means no weight in Q is positive
+   on Z.  By Motzkin's transposition theorem some hull point z <= y0 then
+   has z_Z < y0_Z: D = Z has a positive optimum, whose checked z shows y0
+   dominated.  An optimum of 0 gives, by LP duality, a weight in Q that is
+   positive on Z, so the description missed a ray, and the run raises.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ def _query(w: HullSet, y0) -> Point:
     return point
 
 
+def _written(point: Point) -> str:
+    return "(" + ", ".join(map(rational_format, point)) + ")"
+
+
 def _convex_combination(gens, mu) -> tuple[list[int], int]:
     """sum_k mu_k G_k over the integer rows ``gens``, as integer numerators
     over mu's common denominator, after checking in integers that mu is a
@@ -98,86 +103,41 @@ def _member(gens, target, outcome) -> bool:
     return True
 
 
-_WEAK, _SUM = "weak", "sum"
-
-
-def _program(w: HullSet, point: Point, verdict: str | None = None):
-    """Solve the membership program of ``point`` (see the module
-    docstring) and, as the second objective of the same batch, that of
-    ``verdict``: ``_WEAK`` adds the column delta >= 0 to every row and
-    maximizes it, ``_SUM`` minimizes the coordinate sum of z.  Returns
-    (member, G, y, the verdict's outcome or None).
-    """
+def _program(w: HullSet, point: Point, delta: tuple[int, ...] = ()):
+    """Solve the membership program of ``point`` with, unless ``delta`` is
+    empty, the delta column on the rows of the coordinates in ``delta``
+    (see the module docstring).  Returns (member, G, y, z): z is None
+    unless a member has delta > 0 at the optimum, and then it is
+    sum mu_k G_k as (numerators, denominator), checked in integers."""
     *gens, target = scaled_rows([*w.generators, point])
     m = len(gens)
-    tail = [1] if verdict == _WEAK else []
-    rows = [([1] * m + [0] * len(tail), EQ, 1)]
-    rows += [([g[j] for g in gens] + tail, LE, y) for j, y in enumerate(target)]
-    sums = [sum(g) for g in gens]
-    objectives = [[-s for s in sums] + [0] * len(tail)]
-    if verdict == _WEAK:
+    extra = 1 if delta else 0
+    rows = [([1] * m + [0] * extra, EQ, 1)]
+    rows += [
+        ([g[j] for g in gens] + [int(j in delta)] * extra, LE, y)
+        for j, y in enumerate(target)
+    ]
+    objectives = [[-sum(g) for g in gens] + [0] * extra]
+    if delta:
         objectives.append([0] * m + [-1])
-    elif verdict == _SUM:
-        objectives.append(sums)
-    outcomes = lp_solve_batch(objectives, rows, lower=[0] * (m + len(tail)))
-    verdict_outcome = outcomes[1] if verdict else None
-    return _member(gens, target, outcomes[0]), gens, target, verdict_outcome
+    outcomes = lp_solve_batch(objectives, rows, lower=[0] * (m + extra))
+    member = _member(gens, target, outcomes[0])
+    if not (member and delta):
+        return member, gens, target, None
+    if outcomes[1].status != OPTIMAL:  # y0 itself is feasible and the hull compact
+        raise InternalInconsistency("delta LP is not optimal")
+    if outcomes[1].point[-1] <= 0:
+        return member, gens, target, None
+    scaled, den = _convex_combination(gens, outcomes[1].point[:-1])
+    for j, (z, y) in enumerate(zip(scaled, target)):
+        if z > den * y or (z == den * y and j in delta):
+            raise InternalInconsistency("dominator is not below the query")
+    return member, gens, target, (scaled, den)
 
 
 def hull_contains(w: HullSet, y0) -> bool:
     """Does y0 admit convex weights over the generators?"""
     return _program(w, _query(w, y0))[0]
-
-
-def _verdict(w: HullSet, y0, verdict: str):
-    """The membership program of y0 with ``verdict``'s objective; raises
-    NotInHull for a non-member, and unless the verdict is OPTIMAL."""
-    point = _query(w, y0)
-    member, gens, target, outcome = _program(w, point, verdict)
-    if not member:
-        text = ", ".join(map(rational_format, point))
-        raise NotInHull(f"query point ({text}) is outside the hull")
-    if outcome.status != OPTIMAL:  # y0 itself is feasible and the hull compact
-        raise InternalInconsistency(f"{verdict} LP is not optimal")
-    return point, gens, target, outcome
-
-
-def _checked_dominator(w: HullSet, point: Point, gens, target, mu) -> Point:
-    """z = sum mu_k w_k, after checking in integers, over the rows ``gens``
-    and ``target`` that W and ``point`` scale to, that mu is a convex
-    weight vector and that z lies strictly below the query everywhere."""
-    scaled, mu_den = _convex_combination(gens, mu)
-    if any(z >= mu_den * y for z, y in zip(scaled, target)):
-        raise InternalInconsistency("dominator is not strictly below the query")
-    # the common denominator that scaled W and the query to ``gens``
-    den = lcm(*(x.denominator for row in (*w.generators, point) for x in row))
-    return tuple(Fraction(z, mu_den * den) for z in scaled)
-
-
-def _strict_dominator(w: HullSet, y0) -> Point | None:
-    """A checked hull point strictly below y0 in every coordinate, or None
-    when y0 is weakly nondominated; raises NotInHull for a non-member."""
-    point, gens, target, outcome = _verdict(w, y0, _WEAK)
-    if outcome.point[-1] <= 0:
-        return None
-    return _checked_dominator(w, point, gens, target, outcome.point[:-1])
-
-
-def hull_is_weakly_nondominated(w: HullSet, y0) -> bool:
-    return _strict_dominator(w, y0) is None
-
-
-def hull_is_nondominated(w: HullSet, y0) -> bool:
-    """Is the member y0 nondominated: does no hull point below it have a
-    smaller coordinate sum?  Raises NotInHull for a non-member."""
-    _, _, target, outcome = _verdict(w, y0, _SUM)
-    return outcome.value == sum(target)
-
-
-@dataclass(frozen=True)
-class ProperVerdict:
-    verdict: bool
-    witness: Point | None
 
 
 def _weight_rays(gens, target) -> list[tuple[int, ...]]:
@@ -192,13 +152,51 @@ def _weight_rays(gens, target) -> list[tuple[int, ...]]:
     return rays
 
 
+def _classify(w: HullSet, y0):
+    """(strict dominator or None, weight-cone rays or None, witness or
+    None) for the member y0, by the steps of the module docstring: rays
+    for a weakly nondominated y0, a witness for a nondominated one."""
+    point = _query(w, y0)
+    member, gens, target, below = _program(w, point, tuple(range(len(point))))
+    if not member:
+        raise NotInHull(f"query point {_written(point)} is outside the hull")
+    if below is not None:
+        scaled, mu_den = below
+        # the common denominator that scaled W and the query to ``gens``
+        den = lcm(*(x.denominator for row in (*w.generators, point) for x in row))
+        return tuple(Fraction(z, mu_den * den) for z in scaled), None, None
+    rays = _weight_rays(gens, target)
+    total = _ray_sum(rays)
+    if rays and all(total):
+        return None, rays, tuple(map(Fraction, total))
+    zero = tuple(j for j, x in enumerate(total) if not x)
+    if not rays or _program(w, point, zero)[3] is None:
+        raise InternalInconsistency(f"the weight cone of {_written(point)} misses a ray")
+    return None, rays, None
+
+
+def hull_is_weakly_nondominated(w: HullSet, y0) -> bool:
+    """Is no hull point strictly below the member y0?  Raises NotInHull
+    for a non-member."""
+    return _classify(w, y0)[0] is None
+
+
+def hull_is_nondominated(w: HullSet, y0) -> bool:
+    """Is no hull point below the member y0 and different from it?  On a
+    polytope this is proper nondominance (Isermann 1974).  Raises
+    NotInHull for a non-member."""
+    return hull_is_properly_nondominated(w, y0).verdict
+
+
+@dataclass(frozen=True)
+class ProperVerdict:
+    verdict: bool
+    witness: Point | None
+
+
 def hull_is_properly_nondominated(w: HullSet, y0) -> ProperVerdict:
-    """Decided by the nondominance program; the witness is the weight
-    cone's ray sum over its gcd, which Isermann makes strictly positive."""
-    _, gens, target, outcome = _verdict(w, y0, _SUM)
-    if outcome.value != sum(target):
-        return ProperVerdict(False, None)
-    total = _ray_sum(_weight_rays(gens, target))
-    if not total or not all(total):
-        raise InternalInconsistency("a nondominated hull point has no proper weights")
-    return ProperVerdict(True, tuple(map(Fraction, total)))
+    """Proper nondominance of the member y0; the witness is the weight
+    cone's ray sum over its gcd, positive in every coordinate.  Raises
+    NotInHull for a non-member."""
+    witness = _classify(w, y0)[2]
+    return ProperVerdict(witness is not None, witness)

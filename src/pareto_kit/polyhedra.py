@@ -231,6 +231,8 @@ def _compositions(p: int, k: int) -> list[tuple[int, ...]]:
     Stars and bars: p - 1 cut points in 1..k-1 split k into p positive
     parts, in lexicographic order of the tuples.
     """
+    if p == 1:  # ``combinations`` would first copy all of range(1, k)
+        return [(k,)]
     return [
         tuple(map(sub, cuts + (k,), (0,) + cuts))
         for cuts in combinations(range(1, k), p - 1)

@@ -9,8 +9,8 @@ one subproblem each; the report answers every subset at once from one sort
 of the weakly efficient rows per objective, kept as rank bitsets (Tan, Eng
 and Ooi 2001).  On finite images the inclusion "union inside weak" always
 holds; equality can fail, and the report then lists the witnesses.  In
-hull mode (convex image by construction) both sides must agree query by
-query, and a disagreement aborts the run as an internal inconsistency.
+hull mode (convex image by construction) both sides are read from one
+certified classification of each query, so they agree query by query.
 
 Selector indices are 1-based throughout, matching objective names y1..yp.
 """
@@ -32,7 +32,7 @@ from .errors import (
     TooManyObjectives,
     ZeroWeights,
 )
-from .hulls import HullSet, _strict_dominator, _weight_rays
+from .hulls import HullSet, _classify
 from .numerics.rational import as_matrix, as_point, dot, rational_format, scaled_rows
 
 Point = tuple[Fraction, ...]
@@ -248,18 +248,20 @@ def hull_reducibility_check(
 
     lhs: the query is weakly nondominated in conv(W).  rhs: some nonempty
     objective subset projects the query onto a properly nondominated point
-    of the projected hull.  On hull instances the two are equivalent.  For
-    a dominated query (lhs False) rhs follows from the weak LP's strict
-    dominator z, checked in integers: every projection of z lies in the
-    projected hull and strictly dominates the projected query, so no
-    subproblem is solved and the record has no witness.  A weakly
-    nondominated query reads the rays of its weight cone {lambda >= 0 :
-    lambda . (w - y0) >= 0 for every generator w}.  Its projection onto a
-    selector I is properly nondominated exactly when some weight in the
-    cone is positive on I and zero off it (Geoffrion 1968); those weights
-    are spanned by the rays whose support lies inside I.  So the first
-    selector that works is the smallest support of a ray, by size and then
-    lexicographically; with no ray, none works and the run aborts.
+    of the projected hull.  On hull instances the two are equivalent, and
+    both are read from ``hulls._classify``.  For a dominated query (lhs
+    False) rhs follows from its strict dominator z, checked in integers:
+    every projection of z lies in the projected hull and strictly
+    dominates the projected query, so no subproblem is solved and the
+    record has no witness.  A weakly nondominated query reads the rays of
+    its weight cone {lambda >= 0 : lambda . (w - y0) >= 0 for every
+    generator w}.  Its projection onto a selector I is properly
+    nondominated exactly when some weight in the cone is positive on I and
+    zero off it (Geoffrion 1968); those weights are spanned by the rays
+    whose support lies inside I.  So the first selector that works is the
+    smallest support of a ray, by size and then lexicographically.
+    ``_classify`` gives the rays of every weakly nondominated query and
+    raises when there is none, so lhs = rhs.
     """
     if w.dim > max_objectives:
         raise TooManyObjectives(
@@ -269,18 +271,12 @@ def hull_reducibility_check(
     def check_one(query) -> HullReducibilityRecord:
         point = as_point(query)
         # raises NotInHull for a non-member, DimensionMismatch for a wrong width
-        if _strict_dominator(w, point) is not None:
+        dominator, rays, _ = _classify(w, point)
+        if dominator is not None:
             return HullReducibilityRecord(point, False, False, None)
-        *gens, target = scaled_rows([*w.generators, point])
-        rays = _weight_rays(gens, target)
         supports = [tuple(i + 1 for i, x in enumerate(r) if x) for r in rays]
-        if supports:
-            sel = min(supports, key=lambda s: (len(s), s))
-            return HullReducibilityRecord(point, True, True, sel)
-        text = ", ".join(map(rational_format, point))
-        raise InternalInconsistency(
-            f"weak/proper reducibility mismatch at ({text}): lhs=True rhs=False"
-        )
+        sel = min(supports, key=lambda s: (len(s), s))
+        return HullReducibilityRecord(point, True, True, sel)
 
     return [check_one(query) for query in queries]
 
@@ -295,7 +291,7 @@ def instance_to_json(inst: MopInstance) -> dict:
 def instance_from_json(data: dict) -> MopInstance:
     if not isinstance(data, dict) or "objectives" not in data:
         raise MalformedInput('instance JSON needs an "objectives" key')
-    rows = data["objectives"]
+    rows = as_matrix(data["objectives"])
     labels = data.get("labels")
     if labels is None:
         labels = [f"x{i + 1}" for i in range(len(rows))]

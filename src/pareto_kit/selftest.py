@@ -32,7 +32,6 @@ from .errors import MalformedInput, ParetoKitError
 from .hulls import (
     HullSet,
     hull_contains,
-    hull_is_nondominated,
     hull_is_properly_nondominated,
     hull_is_weakly_nondominated,
 )
@@ -266,11 +265,13 @@ def _suite_finite_dominance(seed: int, scale: float) -> SuiteResult:
     return SuiteResult("finite-dominance", True, check.count)
 
 
-def _has_proper_weights(generators, y0) -> bool:
-    """One LP, apart from the library: lam >= 1, lam . (g - y0) >= 0 for all g?"""
+def _has_weights(generators, y0, weak: bool = False) -> bool:
+    """One LP, apart from the library: lam . (g - y0) >= 0 for all g, with
+    lam >= 1, or with lam >= 0 and sum lam >= 1 when ``weak``?"""
     p = len(y0)
     rows = [([a - b for a, b in zip(y0, g)], LE, 0) for g in generators]
-    return lp_solve(linprog([0] * p, rows, lower=[1] * p)).status == OPTIMAL
+    rows += [([-1] * p, LE, -1)] if weak else []
+    return lp_solve(linprog([0] * p, rows, lower=[int(not weak)] * p)).status == OPTIMAL
 
 
 def _suite_hulls(seed: int, scale: float) -> SuiteResult:
@@ -284,12 +285,14 @@ def _suite_hulls(seed: int, scale: float) -> SuiteResult:
             check(hull_contains(w, q), "generated queries stay in the hull")
             lam = hull_is_properly_nondominated(w, q).witness
             proper = lam is not None
-            nd = hull_is_nondominated(w, q)
             weak = hull_is_weakly_nondominated(w, q)
-            check((not proper or nd) and (not nd or weak), "hull chain")
+            check(
+                weak == _has_weights(w.generators, q, weak=True),
+                "weakly nondominated hull points have weak weights",
+            )
             # Isermann 1974: a polytope's nondominated points are proper
             check(
-                nd == _has_proper_weights(w.generators, q),
+                proper == _has_weights(w.generators, q),
                 "nondominated hull points are properly nondominated",
             )
             if proper:
@@ -303,10 +306,9 @@ def _suite_hulls(seed: int, scale: float) -> SuiteResult:
             check(
                 (
                     hull_is_properly_nondominated(moved, moved_q).verdict,
-                    hull_is_nondominated(moved, moved_q),
                     hull_is_weakly_nondominated(moved, moved_q),
                 )
-                == (proper, nd, weak),
+                == (proper, weak),
                 "translation invariance",
             )
         lam = tuple(Fraction(rng.randint(1, 5)) for _ in range(p))
@@ -437,7 +439,7 @@ def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
             for sel in selectors[: last + 1]:
                 sub = [tuple(g[i - 1] for i in sel) for g in w.generators]
                 y0 = tuple(r.query[i - 1] for i in sel)
-                check(_has_proper_weights(sub, y0) == (sel == r.witness), "subset route")
+                check(_has_weights(sub, y0) == (sel == r.witness), "subset route")
     return SuiteResult("reducibility", True, check.count)
 
 

@@ -2,9 +2,9 @@
 
 These deliberately share no code with the routes they check: plain
 quadratic scans for dominance and brute-force vertex enumeration for
-linear programs.  The hull weights and the section recession direction,
-which the package reads from a double description, are checked against
-the package's simplex instead.
+linear programs.  The hull weights, hull nondominance and the section
+recession direction, which the package reads from a double description,
+are checked against the package's simplex instead.
 """
 
 from fractions import Fraction
@@ -115,6 +115,35 @@ def oracle_proper_weights(generators, y0):
     rows = [([a - b for a, b in zip(g, y0)], GE, 0) for g in generators]
     outcome = lp_solve(linprog([0] * p, rows, lower=[1] * p))
     return outcome.point if outcome.status == OPTIMAL else None
+
+
+def oracle_weak_weights(generators, y0):
+    """Weights lam >= 0 with sum lam = 1 and lam . (g - y0) >= 0 for every
+    generator g, or None when there are none: y0 is then not weakly
+    nondominated in conv(generators), by separation of the hull from the
+    points strictly below y0.  Solved as one LP by the package's simplex,
+    which shares no code with the double description."""
+    from pareto_kit.numerics import EQ, GE, OPTIMAL, linprog, lp_solve
+
+    p = len(y0)
+    rows = [([a - b for a, b in zip(g, y0)], GE, 0) for g in generators]
+    rows.append(([1] * p, EQ, 1))
+    outcome = lp_solve(linprog([0] * p, rows, lower=[0] * p))
+    return outcome.point if outcome.status == OPTIMAL else None
+
+
+def oracle_hull_nondominated(generators, y0) -> bool:
+    """Is no point of conv(generators) below the member y0 and different
+    from it?  Exactly when the least coordinate sum of z = sum mu_k g_k
+    over convex weights mu with z <= y0 is the sum of y0.  Solved as one
+    LP by the package's simplex; it reads no weight cone."""
+    from pareto_kit.numerics import EQ, LE, linprog, lp_solve
+
+    m = len(generators)
+    rows = [([1] * m, EQ, 1)]
+    rows += [([g[j] for g in generators], LE, y) for j, y in enumerate(y0)]
+    outcome = lp_solve(linprog([sum(g) for g in generators], rows, lower=[0] * m))
+    return outcome.value == sum(y0)
 
 
 def oracle_negative_direction(P):

@@ -277,9 +277,10 @@ def _count_calls(monkeypatch, sites):
 
 def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch):
     # in_hull comes from the weak program, whose first objective is
-    # membership: one weak program per query (2 generators plus delta),
-    # and no separate membership LP; the member then solves one
-    # nondominance program (2 generators) and reads one weight cone
+    # membership: no separate membership LP.  Each query solves one weak
+    # program (2 generators plus delta); the weakly nondominated member
+    # reads its weight cone, and its proper verdict classifies it again
+    # by the same route, so no program without delta runs
     from pareto_kit import hulls
 
     calls = _count_calls(
@@ -299,9 +300,9 @@ def test_hull_query_solves_one_membership_lp_each(tmp_path, capsys, monkeypatch)
     assert [q["in_hull"] for q in data["queries"]] == [True, False]
     assert data["queries"][0]["properly_nondominated"]
     assert calls["hull_contains"] == 0
-    assert calls["width 3"] == 2
-    assert calls["width 2"] == calls["_weight_rays"] == 1
-    assert calls["lp_solve_batch"] == 3
+    assert calls["width 3"] == calls["lp_solve_batch"] == 3
+    assert calls["width 2"] == 0
+    assert calls["_weight_rays"] == 2
 
 
 def test_connect_writes_tsv(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +17,11 @@ from pareto_kit.errors import InternalInconsistency, NotInHull
 from pareto_kit.generate import gen_hull, gen_hull_queries
 from pareto_kit.numerics import UNBOUNDED, LpOutcome, dot
 
-from oracles import oracle_proper_weights
+from oracles import (
+    oracle_hull_nondominated,
+    oracle_proper_weights,
+    oracle_weak_weights,
+)
 
 HALF = Fraction(1, 2)
 
@@ -134,34 +139,45 @@ def test_grid_sampling_never_beats_weak_points():
 
 
 def test_non_optimal_lp_raises_internal_inconsistency(monkeypatch):
-    # the membership objective and both verdicts have an optimum on every
-    # member query; a planted non-optimal status of either objective of
-    # the batch must raise, also under python -O
-    w = hull([(1, 0), (0, 1)])
+    # the membership objective and the delta objective have an optimum on
+    # every member query; a planted non-optimal status of either objective
+    # must raise, also under python -O.  (1, 0) on the segment from (0, 0)
+    # is weakly nondominated but dominated, so its classification solves a
+    # second batch (delta on row 1 alone), which takes the plant instead
     real = hulls.lp_solve_batch
     verdicts = (
-        hulls._strict_dominator,
+        hull_is_weakly_nondominated,
         hull_is_nondominated,
         hull_is_properly_nondominated,
     )
-    for planted, deciders in ((0, (hull_contains, *verdicts)), (1, verdicts)):
+    cases = (
+        (hull([(1, 0), (0, 1)]), (HALF, HALF), 0),
+        (hull([(0, 0), (1, 0)]), (1, 0), 1),
+    )
+    for w, y0, call in cases:
+        for planted in (0, 1):
+            deciders = verdicts if call or planted else (hull_contains, *verdicts)
+            for decide in deciders:
+                batches = []
 
-        def solve(objectives, rows, lower=None, upper=None):
-            outcomes = real(objectives, rows, lower, upper)
-            outcomes[planted] = LpOutcome(UNBOUNDED)
-            return outcomes
+                def solve(objectives, rows, lower=None, upper=None):
+                    outcomes = real(objectives, rows, lower, upper)
+                    if len(batches) == call:
+                        outcomes[planted] = LpOutcome(UNBOUNDED)
+                    batches.append(rows)
+                    return outcomes
 
-        monkeypatch.setattr(hulls, "lp_solve_batch", solve)
-        for decide in deciders:
-            with pytest.raises(InternalInconsistency):
-                decide(w, (HALF, HALF))
+                monkeypatch.setattr(hulls, "lp_solve_batch", solve)
+                with pytest.raises(InternalInconsistency):
+                    decide(w, y0)
+                assert len(batches) == call + 1
 
 
 def test_isermann_nondominated_hull_points_are_proper():
     # a polytope's nondominated points are all properly nondominated
-    # (Isermann 1974); the oracle's lambda LP and the nondominance program
-    # are separate routes, so their agreement is a measurement, not a
-    # tautology; the witness read from the weight cone meets the LP's rows
+    # (Isermann 1974); the oracles' lambda LP and coordinate-sum LP and the
+    # weight cone's ray sum are separate routes, so their agreement is a
+    # measurement, not a tautology; the witness meets the LP's rows
     rng = random.Random(43)
     seen = {True: 0, False: 0}
     for trial in range(100):
@@ -169,6 +185,7 @@ def test_isermann_nondominated_hull_points_are_proper():
         w = gen_hull(p, rng.randint(1, 10), trial + 500)
         for q in gen_hull_queries(w, 4, trial + 500) + list(w.generators):
             nd = hull_is_nondominated(w, q)
+            assert oracle_hull_nondominated(w.generators, q) == nd
             assert (oracle_proper_weights(w.generators, q) is not None) == nd
             lam = hull_is_properly_nondominated(w, q).witness
             assert (lam is not None) == nd
@@ -182,6 +199,35 @@ def test_isermann_nondominated_hull_points_are_proper():
     assert min(seen.values()) > 200
 
 
+def test_classification_matches_lp_oracles_with_small_entries():
+    # entries in -2..2 put many members on a flat face of the hull: weakly
+    # nondominated but dominated, with a weight cone whose ray sum has a
+    # zero entry, which step 3 of ``hulls._classify`` certifies; each
+    # verdict is compared with an LP that reads no weight cone
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(120):
+        p = rng.randint(2, 4)
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(p))
+            for _ in range(rng.randint(1, 8))
+        ]
+        w = hull(gens)
+        centroid = tuple(sum(c) / len(gens) for c in zip(*w.generators))
+        queries = [*w.generators, centroid]
+        for g, h in combinations(w.generators, 2):
+            queries.append(tuple((a + b) / 2 for a, b in zip(g, h)))
+        for q in queries:
+            dominator, rays, witness = hulls._classify(w, q)
+            weak = oracle_weak_weights(w.generators, q) is not None
+            nd = oracle_hull_nondominated(w.generators, q)
+            assert (dominator is None) == (rays is not None) == weak
+            assert (witness is not None) == nd
+            assert (oracle_proper_weights(w.generators, q) is not None) == nd
+            seen[weak, nd] += 1
+    assert min(seen[True, False], seen[True, True], seen[False, False]) > 200, seen
+
+
 def test_strict_dominator_is_in_the_hull_and_strictly_below():
     rng = random.Random(47)
     found = 0
@@ -189,7 +235,7 @@ def test_strict_dominator_is_in_the_hull_and_strictly_below():
         p = rng.randint(2, 4)
         w = gen_hull(p, rng.randint(1, 8), trial + 700)
         for q in gen_hull_queries(w, 4, trial + 700):
-            z = hulls._strict_dominator(w, q)
+            z = hulls._classify(w, q)[0]
             if z is None:
                 continue
             found += 1
@@ -349,7 +395,7 @@ def test_every_classifier_refuses_a_non_member():
             hull_is_weakly_nondominated,
             hull_is_nondominated,
             hull_is_properly_nondominated,
-            hulls._strict_dominator,
+            hulls._classify,
             lambda w, y0: hull_reducibility_check(w, [y0]),
         ):
             with pytest.raises(NotInHull):
@@ -421,25 +467,99 @@ def test_planted_membership_weights_raise_under_python_O(tmp_path):
 
 
 def test_dominated_member_solves_no_weight_lp(monkeypatch):
-    # the nondominance program settles a dominated member with no weight
-    # cone: (1, 1) is strictly dominated, (1, 0) only weakly
-    # nondominated, as (0, 0) lies below it with a smaller sum
-    calls = []
+    # a strictly dominated member is settled by its checked dominator, with
+    # no weight cone; (1, 0) is only weakly nondominated, as (0, 0) lies
+    # below it: its weight cone's ray sum (0, 1) is 0 on objective 1, and a
+    # second program with delta on row 1 alone certifies the dominance
+    rays, batches = [], []
+    real_rays, real_solve = hulls._weight_rays, hulls.lp_solve_batch
+
+    def counted_rays(gens, target):
+        rays.append(real_rays(gens, target))
+        return rays[-1]
+
+    def counted_solve(objectives, rows, lower=None, upper=None):
+        # the delta column, row by row below the convexity row
+        batches.append([row[0][-1] for row in rows[1:]])
+        return real_solve(objectives, rows, lower, upper)
+
+    monkeypatch.setattr(hulls, "_weight_rays", counted_rays)
+    monkeypatch.setattr(hulls, "lp_solve_batch", counted_solve)
+    w = hull([(1, 0), (0, 1), (1, 1)])
+    assert hull_is_properly_nondominated(w, (1, 1)) == hulls.ProperVerdict(False, None)
+    assert (rays, batches) == ([], [[1, 1]])
+    batches.clear()
+    w = hull([(0, 0), (1, 0)])
+    assert hull_is_properly_nondominated(w, (1, 0)) == hulls.ProperVerdict(False, None)
+    assert (rays, batches) == ([[(0, 1)]], [[1, 1], [1, 0]])
+    proper = hull_is_properly_nondominated(w, (0, 0))
+    assert proper.verdict and (len(rays), len(batches)) == (2, 3)
+
+
+def _planted_dropped_ray_routes(tmp_dir):
+    """Drop from the weight cone the one ray that is positive on some
+    objective, for a nondominated member and for a weakly nondominated but
+    dominated one, and require every route to raise: the ray sum is then 0
+    on that objective, yet no hull point below the query is smaller in it.
+
+    Patches by hand and raises instead of asserting, so that it checks
+    the same under ``python -O``.
+    """
+    import json
+
+    from pareto_kit import cli, hull_reducibility_check
+
+    cases = [
+        # Q = cone((0, 1), (1, 1)) at the vertex (1, 0) of the segment
+        ([(1, 0), (0, 1)], (1, 0), (1, 1), True),
+        # Q = cone(e_2, e_3) at (1, 0, 0), dominated by (0, 0, 0) in
+        # objective 1 alone
+        ([(0, 0, 0), (1, 0, 0)], (1, 0, 0), (0, 0, 1), False),
+    ]
     real = hulls._weight_rays
+    try:
+        for k, (gens, y0, dropped, nondominated) in enumerate(cases):
+            w = hull(gens)
+            if hull_is_nondominated(w, y0) != nondominated:
+                raise AssertionError(f"{y0} is misclassified without a plant")
+            path = f"{tmp_dir}/hull{k}.json"
+            with open(path, "w") as fh:
+                json.dump({"generators": [[str(x) for x in g] for g in gens]}, fh)
 
-    def counted(gens, target):
-        calls.append(target)
-        return real(gens, target)
+            def cli_route(path=path, query=",".join(map(str, y0))):
+                if cli.main(["hull", "--input", path, "--query", query]) == 1:
+                    raise InternalInconsistency("hull --query exited 1")
 
-    monkeypatch.setattr(hulls, "_weight_rays", counted)
-    for w, y0 in (
-        (hull([(1, 0), (0, 1), (1, 1)]), (1, 1)),
-        (hull([(0, 0), (1, 0)]), (1, 0)),
-    ):
-        assert hull_is_properly_nondominated(w, y0) == hulls.ProperVerdict(False, None)
-    assert calls == []
-    proper = hull_is_properly_nondominated(hull([(0, 0), (1, 0)]), (0, 0))
-    assert proper.verdict and len(calls) == 1
+            def without(gens, target, dropped=dropped):
+                rays = real(gens, target)
+                if dropped not in rays:
+                    raise AssertionError(f"{dropped} is not a ray of the weight cone")
+                return [r for r in rays if r != dropped]
+
+            hulls._weight_rays = without
+            for route in (
+                lambda: hull_is_weakly_nondominated(w, y0),
+                lambda: hull_is_nondominated(w, y0),
+                lambda: hull_is_properly_nondominated(w, y0),
+                lambda: hull_reducibility_check(w, [y0]),
+                cli_route,
+            ):
+                try:
+                    route()
+                except InternalInconsistency:
+                    continue
+                raise AssertionError(f"the weight cone without {dropped} was used")
+            hulls._weight_rays = real
+    finally:
+        hulls._weight_rays = real
+
+
+def test_planted_dropped_ray_raises(tmp_path, capsys):
+    _planted_dropped_ray_routes(tmp_path)
+
+
+def test_planted_dropped_ray_raises_under_python_O(tmp_path):
+    _under_python_O(f"_planted_dropped_ray_routes({str(tmp_path)!r})")
 
 
 def _planted_weight_cone_routes(tmp_dir):

@@ -291,7 +291,7 @@ def _check_against_subset_route(seed, max_p, offset):
                 for sel in all_selectors(p)
             ]
             assert r.lhs == r.rhs
-            if hulls._strict_dominator(w, q) is not None:
+            if hulls._classify(w, q)[0] is not None:
                 dominated += 1
                 assert not any(proper)
                 assert (r.lhs, r.rhs, r.witness) == (False, False, None)
@@ -330,13 +330,11 @@ def test_dominated_hull_query_solves_no_subproblem(monkeypatch):
     # p = 4: one program, membership and the weak objective over one
     # template and one phase 1, and no weight cone, whose rays would
     # answer all 15 selectors
-    from pareto_kit import reducibility
-
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     calls = _count_calls(
         monkeypatch,
         [
-            (reducibility, "_weight_rays"),
+            (hulls, "_weight_rays"),
             (hulls, "lp_solve_batch"),
             (linprog_module, "_template"),
             (linprog_module, "_phase1"),
@@ -352,14 +350,13 @@ def test_nondominated_hull_query_reads_one_weight_cone(monkeypatch):
     # p = 4: a nondominated member's proper verdict and a weakly
     # nondominated query's record each solve one program (one template,
     # one phase 1) and read one weight cone; no lambda LP is solved
-    from pareto_kit import hull_is_properly_nondominated, reducibility
+    from pareto_kit import hull_is_properly_nondominated
 
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     calls = _count_calls(
         monkeypatch,
         [
             (hulls, "_weight_rays"),
-            (reducibility, "_weight_rays"),
             (hulls, "lp_solve_batch"),
             (linprog_module, "lp_solve"),
             (linprog_module, "_template"),
@@ -396,13 +393,12 @@ def test_labels_not_a_list_of_strings(labels):
 
 
 def test_mismatch_message_writes_the_point_as_rationals(monkeypatch):
-    from pareto_kit import reducibility
     from pareto_kit.errors import InternalInconsistency
 
-    # an empty weight cone planted, so that every selector fails and the
-    # weakly nondominated query reaches the mismatch
-    monkeypatch.setattr(reducibility, "_weight_rays", lambda gens, target: [])
+    # an empty weight cone planted for a weakly nondominated query, which
+    # its classification refuses before any selector is read
+    monkeypatch.setattr(hulls, "_weight_rays", lambda gens, target: [])
     w = hull([(0, 1), (1, 0)])
-    message = r"^weak/proper reducibility mismatch at \(1/2, 1/2\): lhs=True rhs=False$"
+    message = r"^the weight cone of \(1/2, 1/2\) misses a ray$"
     with pytest.raises(InternalInconsistency, match=message):
         hull_reducibility_check(w, [(Fraction(1, 2), Fraction(1, 2))])

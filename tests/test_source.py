@@ -84,8 +84,8 @@ def _lp_imports(name: str) -> list[str]:
 def test_cones_import_no_lp():
     """Cone membership, pointedness, properness and the strictly positive
     direction are read from the checked double description; no LP.  So
-    are the hull weights: ``hulls`` keeps only the batch that its
-    membership, weak and nondominance programs share, and
+    are the hull weights: ``hulls`` keeps only the batch of its
+    membership program and its delta objective, and
     ``reducibility`` reads the weight cone and solves no LP itself."""
     assert _lp_imports("cones.py") == []
     assert _lp_imports("reducibility.py") == []
