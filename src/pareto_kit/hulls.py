@@ -42,7 +42,7 @@ from .cones import _description, _ray_sum
 from .errors import DimensionMismatch, EmptySet, InternalInconsistency, NotInHull
 from .numerics import EQ, INFEASIBLE, LE, OPTIMAL, rational_format
 from .numerics.linprog import lp_solve_batch
-from .numerics.rational import as_matrix, as_point, common_denominator, scaled_rows
+from .numerics.rational import as_matrix, as_point, scaled_rows
 
 Point = tuple[Fraction, ...]
 
@@ -77,15 +77,17 @@ def _written(point: Point) -> str:
     return "(" + ", ".join(map(rational_format, point)) + ")"
 
 
-def _convex_combination(gens, mu) -> tuple[list[int], int]:
-    """sum_k mu_k G_k over the integer rows ``gens``, as integer numerators
-    over mu's common denominator, after checking in integers that mu is a
-    convex weight vector."""
-    mu_nums, mu_den = common_denominator(mu)
-    if min(mu_nums) < 0 or sum(mu_nums) != mu_den:
+def _convex_combination(gens, outcome) -> tuple[list[int], int]:
+    """sum_k mu_k G_k over the integer rows ``gens``, mu being the first
+    coordinates of the outcome's checked scaled point, as integer
+    numerators over its denominator, after checking in integers that mu
+    is a convex weight vector."""
+    nums, den = outcome.scaled
+    mu_nums = nums[: len(gens)]
+    if min(mu_nums) < 0 or sum(mu_nums) != den:
         raise InternalInconsistency("hull weights are not convex")
     p = len(gens[0])
-    return [sum(a * g[j] for a, g in zip(mu_nums, gens)) for j in range(p)], mu_den
+    return [sum(a * g[j] for a, g in zip(mu_nums, gens)) for j in range(p)], den
 
 
 def _member(gens, target, outcome) -> bool:
@@ -97,7 +99,7 @@ def _member(gens, target, outcome) -> bool:
         raise InternalInconsistency("membership LP is neither optimal nor infeasible")
     if -outcome.value < sum(target):
         return False
-    scaled, den = _convex_combination(gens, outcome.point[: len(gens)])
+    scaled, den = _convex_combination(gens, outcome)
     if any(z != den * y for z, y in zip(scaled, target)):
         raise InternalInconsistency("membership weights do not give the query")
     return True
@@ -126,9 +128,9 @@ def _program(w: HullSet, point: Point, delta: tuple[int, ...] = ()):
         return member, gens, target, None
     if outcomes[1].status != OPTIMAL:  # y0 itself is feasible and the hull compact
         raise InternalInconsistency("delta LP is not optimal")
-    if outcomes[1].point[-1] <= 0:
+    if outcomes[1].scaled[0][-1] <= 0:
         return member, gens, target, None
-    scaled, den = _convex_combination(gens, outcomes[1].point[:-1])
+    scaled, den = _convex_combination(gens, outcomes[1])
     for j, (z, y) in enumerate(zip(scaled, target)):
         if z > den * y or (z == den * y and j in delta):
             raise InternalInconsistency("dominator is not below the query")

@@ -5,7 +5,8 @@ membership, boundedness of a lower section) reduces to a small linear
 program solved here with a two-phase simplex over exact rationals and
 Bland's pivot rule.  Outcomes are therefore exact and reproducible:
 identical inputs give identical statuses, values, and points.  The pivot
-loop runs on the integer tableau of ``_simplex_py``.
+loop runs on the fraction-free integer tableau of ``_simplex_py``: every
+row is integers over one denominator d, the determinant of the basis.
 
 ``lp_solve`` and ``lp_solve_batch`` share one driver, ``_solve``.  It
 takes the objective-independent part of a program (``_Template``: the
@@ -14,15 +15,25 @@ row and the bounds) and a list of objectives, each as integer
 numerators over a positive denominator; the two entry points coerce
 their objectives to that form.
 
+Each constraint enters as an integer row with a slack or artificial of
+coefficient +-1: over the rationals that variable is the row's own
+slack (or artificial) times the row's positive denominator.  Scaling
+one column by a positive factor keeps the sign of every entry and
+reduced cost and the order of every ratio in every tableau, so Bland's
+rule makes the pivots it would make on the rational rows, and the
+point, value and tie-breaks are unchanged.  The phase-1 objective, the
+sum of the unscaled artificials, weighs each scaled artificial by one
+over its row's denominator.
+
 Phase 1 runs once per batch (``_phase1``): its pivots are chosen from
 the phase-1 cost row and the constraint rows alone, so it depends only
 on the constraints (Chvatal 1983, Linear Programming, ch. 8).  Each cold
-solve starts phase 2 (``_run``) at the basis phase 1 ended at, after
-reducing its objective's cost row there.  That reduced row, in lowest
-terms, is the row that carrying the cost row through phase 1's pivots
-would leave, so the phase-2 pivots, points and values are those of a
-solve of its own, and a batch still equals ``lp_solve`` per objective.
-An INFEASIBLE phase 1 answers every objective of the batch.
+solve starts phase 2 (``_run``) at the basis phase 1 ended at, from the
+row d c - sum_r c[B_r] row_r: the row that carrying the cost row c
+through phase 1's pivots would leave, so every later division stays
+exact, and the phase-2 pivots, points and values are those of a solve
+of its own; a batch still equals ``lp_solve`` per objective.  An
+INFEASIBLE phase 1 answers every objective of the batch.
 
 A basis kept in the batch holds its
 reduced-cost map: one integer vector per nonbasic column over the
@@ -36,10 +47,11 @@ objective is priced at the kept bases, and the first one at which the
 point is provably the unique optimum supplies it.  An answered
 objective is valued at its point; when no rule answers, the
 objective's cost row is built and it is solved cold.  Every point is
-re-substituted by ``_check_outcome`` into the same integer rows once,
-when a cold solve returns it, and only then may a rule read it or its
-basis be kept, after each map has been checked against the reduced
-costs the pivots left in that solve's cost row.
+read out of the tableau in integers and re-substituted by
+``_check_outcome`` into the same integer rows once, when a cold solve
+returns it, and only then may a rule read it or its basis be kept,
+after each map has been checked against the reduced costs the pivots
+left in that solve's cost row.
 
 Bounds are standardized only here: a variable is shifted, reflected or
 split (see ``_template``), and every point is read back and checked in
@@ -72,6 +84,23 @@ class Constraint:
     rhs: int | Fraction
 
 
+def _check_row(n: int, coeffs, relation) -> None:
+    if len(coeffs) != n:
+        raise DimensionMismatch(
+            f"constraint has {len(coeffs)} coefficients, expected {n}"
+        )
+    if relation not in _RELATIONS:
+        raise MalformedInput(f"unknown relation {relation!r}")
+
+
+def _check_bounds(n: int, lower, upper) -> None:
+    if n == 0:
+        raise DimensionMismatch("a linear program needs at least one variable")
+    for bounds in (lower, upper):
+        if bounds is not None and len(bounds) != n:
+            raise DimensionMismatch("bounds length does not match variable count")
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Minimize objective . x subject to rows and optional variable bounds."""
@@ -83,31 +112,33 @@ class LinearProgram:
 
     def __post_init__(self):
         n = len(self.objective)
-        if n == 0:
-            raise DimensionMismatch("a linear program needs at least one variable")
+        _check_bounds(n, self.lower, self.upper)
         for con in self.constraints:
-            if len(con.coeffs) != n:
-                raise DimensionMismatch(
-                    f"constraint has {len(con.coeffs)} coefficients, expected {n}"
-                )
-            if con.relation not in _RELATIONS:
-                raise MalformedInput(f"unknown relation {con.relation!r}")
-        for bounds in (self.lower, self.upper):
-            if bounds is not None and len(bounds) != n:
-                raise DimensionMismatch("bounds length does not match variable count")
+            _check_row(n, con.coeffs, con.relation)
 
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """A status, and for OPTIMAL the value and the point.  ``scaled`` is
+    the point as (integer numerators, positive denominator) in lowest
+    terms, the form in which it was checked."""
+
     status: str
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
+    scaled: tuple[tuple[int, ...], int] | None = None
 
 
 def _exact(value):
     """An ``int`` as it is (it has the ``numerator`` and ``denominator``
     that ``_template`` reads), anything else through ``as_fraction``."""
     return value if isinstance(value, int) else as_fraction(value)
+
+
+def _exact_bounds(values):
+    if values is None:
+        return None
+    return tuple(None if v is None else _exact(v) for v in values)
 
 
 def linprog(objective, rows, lower=None, upper=None) -> LinearProgram:
@@ -121,16 +152,7 @@ def linprog(objective, rows, lower=None, upper=None) -> LinearProgram:
         Constraint(tuple(map(_exact, coeffs)), rel, _exact(rhs))
         for coeffs, rel, rhs in rows
     )
-
-    def _bounds(values):
-        if values is None:
-            return None
-        return tuple(None if v is None else _exact(v) for v in values)
-
-    return LinearProgram(obj, cons, _bounds(lower), _bounds(upper))
-
-
-_ZERO = Fraction(0)
+    return LinearProgram(obj, cons, _exact_bounds(lower), _exact_bounds(upper))
 
 
 @dataclass
@@ -139,20 +161,20 @@ class _Template:
 
     The constraint rows, initial basis, and phase-1 cost row depend only
     on the rows and bounds, so every objective of a batch shares one
-    template.  ``rows`` are in the tableau's form: Python ints over one
-    positive row denominator (``dens``), in lowest terms.  ``var_map``
-    holds (kind, column, base) per variable, and ``base_nums`` over
-    ``base_den`` the bases scaled to integers once.  ``checks``
-    holds each original constraint a . x (rel) rhs scaled to integers by
-    the least common denominator of its coefficients and right-hand side,
-    and ``lower`` and ``upper`` hold one bound (or None) per variable;
-    ``_check_outcome`` reads those.
+    template.  ``rows`` are integer rows, each with its own slack or
+    artificial at coefficient +-1, whose initial basic columns form an
+    identity: the tableau's form at d = 1.  ``cost1`` is the phase-1
+    cost row reduced at that basis, times a positive integer.
+    ``var_map`` holds (kind, column, base) per variable, and
+    ``base_nums`` over ``base_den`` the bases scaled to integers once.
+    ``checks`` holds each original constraint a . x (rel) rhs scaled to
+    integers by the least common denominator of its coefficients and
+    right-hand side, and ``lower`` and ``upper`` hold one bound (or None)
+    per variable; ``_check_outcome`` reads those.
     """
 
     rows: list[list[int]]
-    dens: list[int]
     cost1: list[int]
-    cost1_den: int
     nrows: int
     n_real: int
     n_std: int
@@ -187,8 +209,9 @@ def _columns(var_map: list[tuple], nums: list[int], width: int) -> list[int]:
     return out
 
 
-def _template(lp: LinearProgram) -> _Template:
-    """Rewrite the constraint system as Ax = b, x >= 0, b >= 0.
+def _template(n: int, rows, lower=None, upper=None) -> _Template:
+    """Rewrite the constraint system ``rows``, (coefficients, relation,
+    rhs) triples over ``n`` variables, as Ax = b, x >= 0, b >= 0.
 
     A variable with a lower bound l is shifted, x = l + s, and an upper
     bound u as well becomes the row s <= u - l.  One with only an upper
@@ -198,12 +221,14 @@ def _template(lp: LinearProgram) -> _Template:
     rhs - a . base, the base being l or u.  Rows whose own slack
     survives with coefficient +1 start basic; every other row receives
     an artificial variable for phase 1.  Each constraint is scaled to
-    integers once; its standardized row is built from those integers
-    over its own denominator.
+    integers once (a row of ``int``s is its own scaling); its
+    standardized row is those integers, brought to lowest terms over
+    its denominator when a base moves its right-hand side.
     """
-    n = len(lp.objective)
-    lower = lp.lower if lp.lower is not None else (None,) * n
-    upper = lp.upper if lp.upper is not None else (None,) * n
+    lower, upper = _exact_bounds(lower), _exact_bounds(upper)
+    _check_bounds(n, lower, upper)
+    lower = lower or (None,) * n
+    upper = upper or (None,) * n
 
     var_map: list[tuple] = []
     n_std = 0
@@ -218,7 +243,7 @@ def _template(lp: LinearProgram) -> _Template:
             var_map.append(("split", n_std, None))
             n_std += 2
     base_nums, base_den = common_denominator(
-        _ZERO if base is None else base for _, _, base in var_map
+        0 if base is None else base for _, _, base in var_map
     )
 
     def to_std(nums, rhs_num, den):
@@ -237,11 +262,16 @@ def _template(lp: LinearProgram) -> _Template:
 
     checks: list[tuple[list[int], str, int]] = []
     raw_rows: list[tuple[str, list[int], int, int]] = []
-    for con in lp.constraints:
-        nums, den = common_denominator((*con.coeffs, con.rhs))
-        coeffs, rhs = nums[:-1], nums[-1]
-        checks.append((coeffs, con.relation, rhs))
-        raw_rows.append((con.relation, *to_std(coeffs, rhs, den)))
+    for coeffs, relation, rhs in rows:
+        coeffs = list(coeffs)
+        _check_row(n, coeffs, relation)
+        if isinstance(rhs, int) and all(isinstance(a, int) for a in coeffs):
+            den = 1
+        else:
+            nums, den = common_denominator(map(_exact, (*coeffs, rhs)))
+            coeffs, rhs = nums[:-1], nums[-1]
+        checks.append((coeffs, relation, rhs))
+        raw_rows.append((relation, *to_std(coeffs, rhs, den)))
     for j in range(n):
         if lower[j] is not None and upper[j] is not None:
             den = upper[j].denominator
@@ -270,38 +300,35 @@ def _template(lp: LinearProgram) -> _Template:
             basis.append(n_real + n_art)
             n_art += 1
 
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    art_rows: list[int] = []
+    std_rows: list[list[int]] = []
+    art_dens: list[tuple[int, int]] = []
     for r, (rel, coeffs, rhs, den) in enumerate(raw_rows):
         row = coeffs + [0] * (n_slack + n_art) + [rhs]
         if slack_of[r] is not None:
-            row[slack_of[r]] = den if rel == LE else -den
+            row[slack_of[r]] = 1 if rel == LE else -1
         if rhs < 0:
             row = [-x for x in row]
         if basis[r] >= n_real:
-            row[basis[r]] = den
-            art_rows.append(r)
-        rows.append(row)
-        dens.append(den)
+            row[basis[r]] = 1
+            art_dens.append((r, den))
+        std_rows.append(row)
 
-    # Phase-1 cost row: 1 on each artificial column minus the sum of the
-    # artificial rows, over their least common denominator.  The
+    # Phase-1 cost row: the artificial of row r, scaled by the row's
+    # denominator, costs 1/den_r; times the least common denominator of
+    # those costs, minus the weighted sum of the artificial rows.  The
     # artificial columns cancel to zero.
-    cost1_den = lcm(*(dens[r] for r in art_rows))
     cost1 = [0] * (n_real + n_art + 1)
-    for r in art_rows:
-        factor = cost1_den // dens[r]
-        cost1 = [c - factor * x for c, x in zip(cost1, rows[r])]
-    for r in art_rows:
-        cost1[basis[r]] = 0
-    cost1, cost1_den = _lowest(cost1, cost1_den)
+    if art_dens:
+        common = lcm(*(den for _, den in art_dens))
+        for r, den in art_dens:
+            weight = common // den
+            cost1 = [c - weight * x for c, x in zip(cost1, std_rows[r])]
+        for r, _ in art_dens:
+            cost1[basis[r]] = 0
 
     return _Template(
-        rows=rows,
-        dens=dens,
+        rows=std_rows,
         cost1=cost1,
-        cost1_den=cost1_den,
         nrows=nrows,
         n_real=n_real,
         n_std=n_std,
@@ -316,18 +343,19 @@ def _template(lp: LinearProgram) -> _Template:
     )
 
 
-def _cost_row(template: _Template, nums: list[int], den: int):
-    """The standardized phase-2 cost row of the objective ``nums`` / ``den``
-    and the constant objective . base that the shifted and reflected
-    variables drop, from one integer sum over the scaled bases."""
+def _cost_row(template: _Template, nums: list[int]) -> tuple[list[int], int]:
+    """The standardized phase-2 cost row of the objective with numerators
+    ``nums``, and the numerator of the constant objective . base that the
+    shifted and reflected variables drop, over the objective's
+    denominator times ``base_den``: one integer sum over the scaled
+    bases."""
     row = _columns(template.var_map, nums, template.n_real + template.n_art + 1)
-    offset = sum(map(mul, nums, template.base_nums))
-    return row, Fraction(offset, den * template.base_den) if offset else _ZERO
+    return row, sum(map(mul, nums, template.base_nums))
 
 
 def _phase1(template: _Template):
     """Phase 1 of the two-phase Bland simplex; returns the constraint rows,
-    their denominators and the basis it ends at, or None when the program
+    their denominator and the basis it ends at, or None when the program
     is INFEASIBLE.
 
     The tableau holds the template's rows, then the phase-1 cost row.
@@ -339,10 +367,8 @@ def _phase1(template: _Template):
     handed back; the shared row lists are never mutated in place.
     """
     if not template.n_art:
-        return template.rows, template.dens, template.basis
-    tableau = _simplex_py.Tableau(
-        template.rows + [template.cost1], template.dens + [template.cost1_den]
-    )
+        return template.rows, 1, template.basis
+    tableau = _simplex_py.Tableau(template.rows + [template.cost1])
     m = template.nrows
     basis = list(template.basis)
     while True:
@@ -354,42 +380,40 @@ def _phase1(template: _Template):
             raise InternalInconsistency("phase-1 column with no positive entry")
         tableau.pivot(row, col, m + 1)
         basis[row] = col
-    if tableau.get(m, tableau.ncols - 1) < 0:
+    if tableau.rows[m][-1] < 0:
         return None
     # Pivot each degenerate artificial out on any nonzero real column; a
     # row with none is inert (its basic artificial can never change value
-    # again).  The phase-1 row is not read again.
+    # again).  The phase-1 row is not read again, so it is not updated.
     for r in range(m):
         if basis[r] >= template.n_real:
             col = tableau.first_nonzero(r, template.n_real)
             if col >= 0:
                 tableau.pivot(r, col, m)
                 basis[r] = col
-    return tableau.nums[:m], tableau.dens[:m], basis
+    return tableau.rows[:m], tableau.den, basis
 
 
-def _run(template: _Template, start, cost_row: list[int], cost_den: int):
+def _run(template: _Template, start, cost_row: list[int]):
     """Phase 2 from the phase-1 result ``start``; returns (status, final
     tableau, basis), the tableau and basis only for an OPTIMAL status.
 
-    The phase-2 cost row ``cost_row`` over ``cost_den`` is first reduced
-    at the basis of ``start``: each basic column is a unit column, so
-    subtracting its cost times its row leaves the reduced costs c - c_B
-    B^-1 A and the negated value in the right-hand-side column.  Brought
-    to lowest terms, that is the one row a tableau in this form can hold
-    there, the row that carrying the cost row through phase 1's pivots
-    would leave.
+    Phase 2 starts from the row d c - sum_r c[B_r] row_r, c being
+    ``cost_row`` and d the denominator of ``start``: each basic column is
+    d in its own row and 0 in the others, so that row over d is the
+    reduced costs c - c_B B^-1 A, with the negated value in the
+    right-hand-side column.  It is the row that carrying c through phase
+    1's pivots would leave, so the tableau's later divisions stay exact,
+    and over d times the objective's denominator it holds the reduced
+    costs of the objective at every later pivot.
     """
-    rows, dens, basis = start
+    rows, den, basis = start
+    start_row = [den * x for x in cost_row] if den != 1 else cost_row
     for r, col in enumerate(basis):
         c = cost_row[col]
         if c:
-            # the basic entry of row r is dens[r] over dens[r], one
-            d = dens[r]
-            cost_row, cost_den = _lowest(
-                [x * d - c * y for x, y in zip(cost_row, rows[r])], cost_den * d
-            )
-    tableau = _simplex_py.Tableau(rows + [cost_row], dens + [cost_den])
+            start_row = [x - c * y for x, y in zip(start_row, rows[r])]
+    tableau = _simplex_py.Tableau(rows + [start_row], den)
     m = template.nrows
     basis = list(basis)
     while True:
@@ -411,18 +435,17 @@ def active_backend() -> str:
 
 def _check_outcome(
     template: _Template, cost: list[int], cost_den: int, outcome: LpOutcome
-) -> tuple[list[int], int]:
+) -> None:
     """Re-substitute an optimal outcome into its program, exactly.
 
-    ``cost`` over ``cost_den`` is the objective.  The point is scaled by
-    the common denominator of its coordinates, so its value and each
-    equation and inequality of ``template.checks`` are checked between
-    integers with the same truth value they have over the rationals.
-    Returns the scaled point, (numerators, denominator), at which a reused
-    outcome is valued.
+    ``cost`` over ``cost_den`` is the objective.  The point is read in
+    its scaled form, integer numerators over one positive denominator,
+    so its value and each equation, inequality and bound of the template
+    are checked between integers with the same truth value they have
+    over the rationals.
     """
-    point, value = outcome.point, outcome.value
-    xs, den = common_denominator(point)
+    xs, den = outcome.scaled
+    value = outcome.value
     if sum(map(mul, cost, xs)) * value.denominator != (
         value.numerator * cost_den * den
     ):
@@ -438,36 +461,42 @@ def _check_outcome(
             ok = lhs == rhs
         if not ok:
             raise InternalInconsistency("solver returned an infeasible point")
-    for x, lo, hi in zip(point, template.lower, template.upper):
-        if lo is not None and x < lo:
+    for x, lo, hi in zip(xs, template.lower, template.upper):
+        if lo is not None and x * lo.denominator < lo.numerator * den:
             raise InternalInconsistency("lower bound violated")
-        if hi is not None and x > hi:
+        if hi is not None and x * hi.denominator > hi.numerator * den:
             raise InternalInconsistency("upper bound violated")
-    return xs, den
-
-
-def _read_back(var_map: list[tuple], x_std) -> tuple[Fraction, ...]:
-    """The standardized point ``x_std`` in the caller's variables: base + s
-    for a shifted variable, base - s for a reflected one, s - t for a
-    split one.  A zero base adds nothing, so no sum is formed for it."""
-    point = []
-    for kind, col, base in var_map:
-        if kind == "split":
-            point.append(x_std[col] - x_std[col + 1])
-        else:
-            s = x_std[col] if kind == "shift" else -x_std[col]
-            point.append(base + s if base else s)
-    return tuple(point)
 
 
 def _basic_solution(template: _Template, tableau, basis):
-    """The standardized point and objective value of an optimal tableau."""
-    rhs_col = tableau.ncols - 1
-    x_std = [_ZERO] * template.n_std
+    """The standardized point of an optimal tableau, as integer numerators
+    over the tableau's denominator, and the right-hand side of its cost
+    row, the negated value times that denominator and the objective's."""
+    rhs = tableau.ncols - 1
+    rows = tableau.rows
+    x_std = [0] * template.n_std
     for r in range(template.nrows):
         if basis[r] < template.n_std:
-            x_std[basis[r]] = tableau.get(r, rhs_col)
-    return x_std, -tableau.get(template.nrows, rhs_col)
+            x_std[basis[r]] = rows[r][rhs]
+    return x_std, rows[template.nrows][rhs]
+
+
+def _read_back(template: _Template, x_std: list[int], den: int):
+    """The standardized point ``x_std`` over ``den`` in the caller's
+    variables, as (numerators, denominator) in lowest terms: base + s for
+    a shifted variable, base - s for a reflected one, s - t for a split
+    one, over ``den`` times ``base_den``."""
+    base_den = template.base_den
+    xs = []
+    for (kind, col, _), b in zip(template.var_map, template.base_nums):
+        if kind == "split":
+            xs.append((x_std[col] - x_std[col + 1]) * base_den)
+        elif kind == "shift":
+            xs.append(b * den + x_std[col] * base_den)
+        else:
+            xs.append(b * den - x_std[col] * base_den)
+    xs, den = _lowest(xs, den * base_den)
+    return tuple(xs), den
 
 
 def _reduced_cost_maps(template: _Template, tableau, basis):
@@ -479,29 +508,29 @@ def _reduced_cost_maps(template: _Template, tableau, basis):
     fixed basis the reduced cost of column j is c_j minus the sum, over
     the basic rows r, of the cost of r's basic column times the tableau
     entry (r, j) (Gass and Saaty 1955), so it is linear in the objective.
-    Returns the nonbasic real columns, the common denominator den_B of
-    the rows with a basic structural column, and for each nonbasic
-    column j an integer vector ``map_j`` over the original variables with
-    map_j . nums == d_j * den_B * den for every objective ``nums`` / ``den``,
-    d_j being column j's reduced cost under that objective.
+    Returns the nonbasic real columns and for each nonbasic column j an
+    integer vector ``map_j`` over the original variables with
+    map_j . nums == d_j * d * den for every objective ``nums`` / ``den``,
+    d_j being column j's reduced cost under that objective and d the
+    tableau's denominator: the entry the pivots leave in the cost row.
     """
     signs = [-1 if kind == "reflect" else 1 for kind, _, _ in template.var_map]
     basic = set(basis)
     nonbasic = [j for j in range(template.n_real) if j not in basic]
     structural = [r for r in range(template.nrows) if basis[r] < template.n_std]
-    den_b = lcm(*(tableau.dens[r] for r in structural))
+    rows, den = tableau.rows, tableau.den
     maps = []
     for j in nonbasic:
         map_j = [0] * len(signs)
         if j < template.n_std:
-            map_j[j] = signs[j] * den_b
+            map_j[j] = signs[j] * den
         for r in structural:
-            entry = tableau.nums[r][j]
+            entry = rows[r][j]
             if entry:
                 i = basis[r]
-                map_j[i] -= signs[i] * entry * (den_b // tableau.dens[r])
+                map_j[i] -= signs[i] * entry
         maps.append(map_j)
-    return nonbasic, maps, den_b
+    return nonbasic, maps
 
 
 def _covering(maps) -> bool:
@@ -520,7 +549,8 @@ def _at_point(point, scaled, nums: list[int], den: int) -> LpOutcome:
     by re-substituting the objective at its checked scaled form
     ``scaled``, (numerators, denominator)."""
     xs, xs_den = scaled
-    return LpOutcome(OPTIMAL, Fraction(sum(map(mul, nums, xs)), den * xs_den), point)
+    value = Fraction(sum(map(mul, nums, xs)), den * xs_den)
+    return LpOutcome(OPTIMAL, value, point, scaled)
 
 
 class _OptimalBasis:
@@ -530,20 +560,19 @@ class _OptimalBasis:
     Holds the original point, which ``_check_outcome`` has already passed,
     with its scaled form, and the basis's reduced-cost maps (see
     ``_reduced_cost_maps``).  Each map is checked, before the basis can be
-    kept, against the final phase-2 cost row of the solve of ``nums`` /
-    ``den`` that found it: the pivots computed that row, the maps come
-    from a linear combination of the tableau's columns, so a wrong map
-    raises here before it can price any objective.
+    kept, against the final phase-2 cost row of the solve of ``nums``
+    that found it: the pivots computed that row, the maps come from a
+    linear combination of the tableau's columns, so a wrong map raises
+    here before it can price any objective.
     """
 
-    def __init__(self, template: _Template, tableau, basis, point, scaled, nums, den):
+    def __init__(self, template: _Template, tableau, basis, point, scaled, nums):
         self.point = point
         self.scaled = scaled
-        nonbasic, self.maps, den_b = _reduced_cost_maps(template, tableau, basis)
-        costs = tableau.nums[template.nrows]
-        costs_den = tableau.dens[template.nrows]
+        nonbasic, self.maps = _reduced_cost_maps(template, tableau, basis)
+        costs = tableau.rows[template.nrows]
         for j, map_j in zip(nonbasic, self.maps):
-            if sum(map(mul, map_j, nums)) * costs_den != costs[j] * den_b * den:
+            if sum(map(mul, map_j, nums)) != costs[j]:
                 raise InternalInconsistency("reduced-cost map disagrees with the tableau")
 
     def unique_optimum(self, nums: list[int]) -> bool:
@@ -626,15 +655,18 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
             last = proof
             outcomes.append(_at_point(proof.point, proof.scaled, nums, den))
             continue
-        row, offset = _cost_row(template, nums, den)
-        status, tableau, basis = _run(template, start, row, den)
+        row, offset = _cost_row(template, nums)
+        status, tableau, basis = _run(template, start, row)
         if status != OPTIMAL:
             outcomes.append(LpOutcome(status))
             continue
-        x_std, value_std = _basic_solution(template, tableau, basis)
-        point = _read_back(template.var_map, x_std)
-        outcome = LpOutcome(OPTIMAL, value_std + offset, point)
-        scaled = _check_outcome(template, nums, den, outcome)
+        x_std, rhs = _basic_solution(template, tableau, basis)
+        d, base_den = tableau.den, template.base_den
+        scaled = _read_back(template, x_std, d)
+        point = tuple(Fraction(x, scaled[1]) for x in scaled[0])
+        value = Fraction(offset * d - rhs * base_den, d * den * base_den)
+        outcome = LpOutcome(OPTIMAL, value, point, scaled)
+        _check_outcome(template, nums, den, outcome)
         outcomes.append(outcome)
         if k + 1 == len(costs):
             break
@@ -642,7 +674,7 @@ def _solve(template: _Template, costs) -> list[LpOutcome]:
             outcomes.extend(_at_point(point, scaled, *cost) for cost in costs[k + 1 :])
             break
         if keep:
-            kept.append(_OptimalBasis(template, tableau, basis, point, scaled, nums, den))
+            kept.append(_OptimalBasis(template, tableau, basis, point, scaled, nums))
             if cover is None and _covering(kept[-1].maps):
                 cover = kept[-1]
     return outcomes
@@ -654,7 +686,9 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     Optimal outcomes are re-substituted into every constraint before being
     returned, so a reported point satisfies the program exactly.
     """
-    return _solve(_template(lp), [common_denominator(lp.objective)])[0]
+    rows = ((con.coeffs, con.relation, con.rhs) for con in lp.constraints)
+    template = _template(len(lp.objective), rows, lp.lower, lp.upper)
+    return _solve(template, [common_denominator(lp.objective)])[0]
 
 
 def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
@@ -680,4 +714,4 @@ def lp_solve_batch(objectives, rows, lower=None, upper=None) -> list[LpOutcome]:
             raise DimensionMismatch(
                 f"objective has {len(nums)} coefficients, expected {n}"
             )
-    return _solve(_template(linprog([0] * n, rows, lower, upper)), costs)
+    return _solve(_template(n, rows, lower, upper), costs)

@@ -73,9 +73,9 @@ class _Check:
         self.count = 0
 
     def __call__(self, condition: bool, message: str):
-        self.count += 1
         if not condition:
             raise AssertionError(message)
+        self.count += 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,7 @@ def enumerate_vertices(rows, rhs):
 # suites
 
 
-def _suite_numerics(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_numerics(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-numerics", seed)))
     for _ in range(int(40 * scale)):
         value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
@@ -178,8 +177,7 @@ def _rand_point(rng, p, span=8):
     return tuple(Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(p))
 
 
-def _suite_orders_cones(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_orders_cones(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-cones", seed)))
     for _ in range(int(60 * scale)):
         p = rng.randint(1, 4)
@@ -216,8 +214,7 @@ def _suite_orders_cones(seed: int, scale: float) -> SuiteResult:
     return SuiteResult("orders-cones", True, check.count)
 
 
-def _suite_finite_dominance(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_finite_dominance(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-dominance", seed)))
     for trial in range(int(40 * scale)):
         p = rng.randint(1, 4)
@@ -274,8 +271,7 @@ def _has_weights(generators, y0, weak: bool = False) -> bool:
     return lp_solve(linprog([0] * p, rows, lower=[int(not weak)] * p)).status == OPTIMAL
 
 
-def _suite_hulls(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_hulls(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-hulls", seed)))
     for trial in range(int(15 * scale)):
         p = rng.randint(2, 3)
@@ -348,8 +344,7 @@ def _suite_hulls(seed: int, scale: float) -> SuiteResult:
     return SuiteResult("hull-dominance", True, check.count)
 
 
-def _suite_stability(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_stability(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-stability", seed)))
     for trial in range(int(30 * scale)):
         p = rng.randint(2, 4)
@@ -380,8 +375,7 @@ def _suite_stability(seed: int, scale: float) -> SuiteResult:
     return SuiteResult("stability", True, check.count)
 
 
-def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_reducibility(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-reducibility", seed)))
     counterexample = mop_instance(
         ["x1", "x2", "x3"], [["1", "0"], ["0", "1"], ["1", "1"]]
@@ -443,8 +437,7 @@ def _suite_reducibility(seed: int, scale: float) -> SuiteResult:
     return SuiteResult("reducibility", True, check.count)
 
 
-def _suite_polyhedra(seed: int, scale: float) -> SuiteResult:
-    check = _Check()
+def _suite_polyhedra(seed: int, scale: float, check: _Check) -> SuiteResult:
     rng = random.Random(repr(("selftest-polyhedra", seed)))
     families = list(generate.POLY_FAMILIES)
     for trial in range(int(30 * scale)):
@@ -529,10 +522,11 @@ def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteResult]:
     check_scale(scale)
     results = []
     for name, suite in _SUITES:
+        check = _Check()
         try:
-            result = suite(seed, scale)
+            result = suite(seed, scale, check)
         except (AssertionError, ParetoKitError) as exc:
-            result = SuiteResult(name, False, 0, str(exc))
+            result = SuiteResult(name, False, check.count, str(exc))
         if result.ok and not result.checks:
             result = SuiteResult(name, False, 0, "no check ran at this scale")
         results.append(result)

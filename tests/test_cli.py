@@ -371,6 +371,36 @@ def test_run_all_refuses_scale_before_any_suite(monkeypatch, scale):
     assert ran == []
 
 
+def test_failing_suite_reports_the_checks_that_passed(monkeypatch, capsys):
+    # a failing check, or an error raised by the library mid-suite, keeps
+    # the count of the checks that passed before it
+    from pareto_kit import selftest
+    from pareto_kit.errors import InternalInconsistency
+
+    def planted(seed, scale, check):
+        for k in range(3):
+            check(True, f"check {k}")
+        check(False, "planted failure")
+        check(True, "never reached")
+
+    def raising(seed, scale, check):
+        check(True, "first")
+        check(True, "second")
+        raise InternalInconsistency("planted inconsistency")
+
+    monkeypatch.setattr(selftest, "_SUITES", (("planted", planted), ("raising", raising)))
+    results = selftest.run_all(seed=0, scale=1.0)
+    assert [(r.name, r.ok, r.checks, r.detail) for r in results] == [
+        ("planted", False, 3, "planted failure"),
+        ("raising", False, 2, "planted inconsistency"),
+    ]
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL planted (3 checks): planted failure",
+        "FAIL raising (2 checks): planted inconsistency",
+    ]
+
+
 def test_selftest_suite_that_runs_no_check_fails(tmp_path, capsys):
     out = tmp_path / "selftest.json"
     assert main(["selftest", "--scale", "0.01", "--output", str(out)]) == 1

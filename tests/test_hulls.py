@@ -15,7 +15,8 @@ from pareto_kit import (
 from pareto_kit import hulls
 from pareto_kit.errors import InternalInconsistency, NotInHull
 from pareto_kit.generate import gen_hull, gen_hull_queries
-from pareto_kit.numerics import UNBOUNDED, LpOutcome, dot
+from pareto_kit.numerics import OPTIMAL, UNBOUNDED, LpOutcome, dot
+from pareto_kit.numerics.rational import common_denominator
 
 from oracles import (
     oracle_hull_nondominated,
@@ -244,6 +245,13 @@ def test_strict_dominator_is_in_the_hull_and_strictly_below():
     assert found > 10
 
 
+def _optimal(value, point) -> LpOutcome:
+    """An OPTIMAL outcome at ``point`` with its integer form ``scaled``,
+    which is what the hull classifiers read."""
+    nums, den = common_denominator(point)
+    return LpOutcome(OPTIMAL, value, point, (tuple(nums), den))
+
+
 def _planted_dominator_routes(tmp_dir):
     """Plant weak-LP optima whose dominator fails its integer check and
     require every route to refuse it; plant a delta = 0 optimum and
@@ -255,7 +263,6 @@ def _planted_dominator_routes(tmp_dir):
     import json
 
     from pareto_kit import cli, hull_reducibility_check
-    from pareto_kit.numerics import OPTIMAL
 
     w = hull([(1, 0), (0, 1), (1, 1)])
     path = f"{tmp_dir}/hull.json"
@@ -283,7 +290,7 @@ def _planted_dominator_routes(tmp_dir):
     real = hulls.lp_solve_batch
 
     def plant(mu_delta):
-        outcome = LpOutcome(OPTIMAL, -mu_delta[-1], tuple(map(Fraction, mu_delta)))
+        outcome = _optimal(-mu_delta[-1], tuple(map(Fraction, mu_delta)))
 
         def solve(objectives, rows, lower=None, upper=None):
             outcomes = real(objectives, rows, lower, upper)
@@ -353,7 +360,7 @@ def _equality_row_member(w, y0) -> bool:
     """The membership LP that hull_contains solved before membership
     became an objective: convex weights with sum_k mu_k w_k = y0 row by
     row, kept here as an oracle."""
-    from pareto_kit.numerics import EQ, OPTIMAL, linprog, lp_solve
+    from pareto_kit.numerics import EQ, linprog, lp_solve
 
     m = len(w.generators)
     rows = [([g[i] for g in w.generators], EQ, y0[i]) for i in range(w.dim)]
@@ -440,7 +447,7 @@ def _planted_membership_routes(tmp_dir):
             # the optimal value, at weights mu (and delta = 0) that give
             # a vertex instead of y0
             point = tuple(map(Fraction, mu)) + (Fraction(0),) * (len(right.point) - 2)
-            outcomes[0] = LpOutcome(right.status, right.value, point)
+            outcomes[0] = _optimal(right.value, point)
             return outcomes
 
         hulls.lp_solve_batch = solve

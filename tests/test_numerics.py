@@ -1,8 +1,7 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -283,17 +282,17 @@ def test_batch_runs_phase_1_once_over_eq_rows_and_negative_rhs(monkeypatch):
 
 def test_phase_2_starts_from_the_row_phase_1_would_have_carried(monkeypatch):
     # Carry the phase-2 cost row through phase 1's pivots, as one tableau
-    # holding both cost rows does, and compare it, entry by entry and in
-    # the same lowest terms, with the row that ``_run`` reduces at the
+    # holding both cost rows does, and compare it, entry by entry and over
+    # the same denominator, with the row that ``_run`` starts from at the
     # basis phase 1 hands over.
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     simplex = linprog_module._simplex_py
     started = []
 
     class Recording(simplex.Tableau):
-        def __init__(self, nums, dens):
-            super().__init__(nums, dens)
-            started.append((list(self.nums[-1]), self.dens[-1]))
+        def __init__(self, rows, den=1):
+            super().__init__(rows, den)
+            started.append((list(self.rows[-1]), self.den))
 
     monkeypatch.setattr(simplex, "Tableau", Recording)
     rng = random.Random(67)
@@ -301,18 +300,15 @@ def test_phase_2_starts_from_the_row_phase_1_would_have_carried(monkeypatch):
     for _ in range(120):
         n, rows = _random_phase1_program(rng)
         nums = [rng.randint(-3, 3) for _ in range(n)]
-        template = linprog_module._template(linprog([0] * n, rows, lower=[0] * n))
+        template = linprog_module._template(n, rows, lower=[0] * n)
         start = linprog_module._phase1(template)
         if start is None:
             continue
-        cost_row, _ = linprog_module._cost_row(template, nums, 1)
+        cost_row, _ = linprog_module._cost_row(template, nums)
         del started[:]
-        linprog_module._run(template, start, cost_row, 1)
+        linprog_module._run(template, start, cost_row)
         m = template.nrows
-        carried = Recording(
-            template.rows + [cost_row, template.cost1],
-            template.dens + [1, template.cost1_den],
-        )
+        carried = Recording(template.rows + [cost_row, template.cost1])
         basis = list(template.basis)
         while (col := carried.entering(m + 1, template.n_real)) >= 0:
             row = carried.leaving(col, m, basis)
@@ -325,9 +321,89 @@ def test_phase_2_starts_from_the_row_phase_1_would_have_carried(monkeypatch):
                     carried.pivot(r, col, m + 2)
                     basis[r] = col
         assert basis == start[2]
-        assert started[0] == (carried.nums[m], carried.dens[m])
+        assert started[0] == (carried.rows[m], carried.den)
         compared += 1
     assert compared > 50
+
+
+def test_every_pivot_divides_exactly_and_matches_rational_elimination(monkeypatch):
+    # Run every pivot of single and batch solves through a tableau that
+    # divides with divmod, failing on any remainder, and that carries a
+    # Fraction tableau through the same pivots by plain Gauss-Jordan
+    # elimination: after each pivot, every integer entry over the shared
+    # denominator must equal the rational one.  A cost row carries a
+    # constant positive factor of its own, which elimination keeps, so
+    # the reference starts from the rows over the denominator they are
+    # handed with.
+    linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
+    simplex = linprog_module._simplex_py
+    seen = Counter()
+
+    class Checked(simplex.Tableau):
+        def __init__(self, rows, den=1):
+            super().__init__(rows, den)
+            self.reference = [[Fraction(x, den) for x in row] for row in self.rows]
+
+        def pivot(self, prow, pcol, nrows):
+            rows, den = self.rows, self.den
+            pivot_row, pv = rows[prow], rows[prow][pcol]
+            if pv < 0:
+                pivot_row, pv = [-x for x in pivot_row], -pv
+                seen["negative pivot"] += 1
+            expected = []
+            for i in range(nrows):
+                if i == prow:
+                    expected.append(pivot_row)
+                    continue
+                f = rows[i][pcol]
+                new = []
+                for x, y in zip(rows[i], pivot_row):
+                    q, r = divmod(pv * x - f * y, den)
+                    assert r == 0, "inexact division"
+                    new.append(q)
+                expected.append(new)
+            ref = self.reference
+            ref[prow] = [x / ref[prow][pcol] for x in ref[prow]]
+            for i in range(nrows):
+                if i != prow and ref[i][pcol]:
+                    f = ref[i][pcol]
+                    ref[i] = [x - f * y for x, y in zip(ref[i], ref[prow])]
+            super().pivot(prow, pcol, nrows)
+            assert self.den == pv > 0
+            assert self.rows[:nrows] == expected
+            for i in range(nrows):
+                assert [Fraction(x, pv) for x in self.rows[i]] == ref[i]
+            seen["pivot"] += 1
+            seen["den > 1"] += pv > 1
+
+    monkeypatch.setattr(simplex, "Tableau", Checked)
+    rng = random.Random(71)
+    for _ in range(150):
+        (objective, rows, lower, upper), _ = _random_mixed_lp(rng)
+        n = len(objective)
+        objectives = [objective] + [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)]
+            for _ in range(2)
+        ]
+        batch = lp_solve_batch(objectives, rows, lower, upper)
+        singles = [lp_solve(linprog(obj, rows, lower, upper)) for obj in objectives]
+        assert batch == singles
+        for outcome in batch:
+            if outcome.status == OPTIMAL:
+                nums, den = common_denominator(outcome.point)
+                assert outcome.scaled == (tuple(nums), den)
+        seen.update(rel for _, rel, _ in rows)
+        seen["negative rhs"] += any(rhs < 0 for _, _, rhs in rows)
+        for lo, hi in zip(lower, upper):
+            if lo is not None:
+                seen["shifted" if hi is None else "bound row"] += 1
+            else:
+                seen["reflected" if hi is not None else "split"] += 1
+        seen[batch[0].status] += 1
+    kinds = {LE, EQ, GE, "negative rhs", "shifted", "bound row", "reflected", "split"}
+    assert kinds <= set(seen)
+    assert seen[OPTIMAL] > 30 and seen[INFEASIBLE] > 10
+    assert seen["pivot"] > 1000 and seen["den > 1"] > 100 and seen["negative pivot"]
 
 
 def test_section_minima_match_single_solves_on_every_family():
@@ -566,7 +642,7 @@ def test_leaving_row_ties_go_to_smallest_basic_variable():
 
     # both rows have ratio 2 in column 0; Bland's rule breaks the tie by
     # the smaller basic variable, which guarantees termination
-    tableau = Tableau([[1, 0, 2], [2, 0, 4], [0, 0, 0]], [1, 1, 1])
+    tableau = Tableau([[1, 0, 2], [2, 0, 4], [0, 0, 0]])
     assert tableau.leaving(0, 2, [5, 2]) == 1
     assert tableau.leaving(0, 2, [2, 5]) == 0
 
@@ -574,12 +650,16 @@ def test_leaving_row_ties_go_to_smallest_basic_variable():
 def test_check_outcome_rejects_planted_wrong_outcome():
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     lp = linprog([1, 1], [([1, 1], GE, 2)], lower=[0, 0])
-    template = linprog_module._template(lp)
+    template = linprog_module._template(2, [([1, 1], GE, 2)], lower=[0, 0])
     cost = common_denominator(lp.objective)
     good = lp_solve(lp)
+    assert good.scaled == (tuple(common_denominator(good.point)[0]), 1)
     linprog_module._check_outcome(template, *cost, good)
-    wrong_value = LpOutcome(OPTIMAL, good.value + 1, good.point)
-    infeasible_point = LpOutcome(OPTIMAL, Fraction(1), (Fraction(1), Fraction(0)))
+    # the check reads the integer form, ``scaled``
+    wrong_value = LpOutcome(OPTIMAL, good.value + 1, good.point, good.scaled)
+    infeasible_point = LpOutcome(
+        OPTIMAL, Fraction(1), (Fraction(1), Fraction(0)), ((1, 0), 1)
+    )
     for outcome in (wrong_value, infeasible_point):
         with pytest.raises(InternalInconsistency):
             linprog_module._check_outcome(template, *cost, outcome)
@@ -659,10 +739,13 @@ def _planted_outcome_routes():
             f"expected a reuse of the older basis, got {len(cold)} cold solves"
         )
 
+    # ``_basic_solution`` reads the standardized point as integers over
+    # the tableau's denominator d, and the cost row's right-hand side,
+    # the negated value times d (and the objective's denominator)
     def off_by_one_solution(basic_solution):
         def wrapper(*args):
-            x_std, value = basic_solution(*args)
-            return x_std, value + 1
+            x_std, rhs = basic_solution(*args)
+            return x_std, rhs + 1
 
         return wrapper
 
@@ -675,11 +758,11 @@ def _planted_outcome_routes():
             calls = []
 
             def wrapper(*args):
-                nonbasic, maps, den_b = reduced_cost_maps(*args)
+                nonbasic, maps = reduced_cost_maps(*args)
                 calls.append(args)
                 if len(calls) == 1:
                     maps[0][variable] += 1
-                return nonbasic, maps, den_b
+                return nonbasic, maps
 
             return wrapper
 
@@ -739,12 +822,13 @@ def _planted_outcome_routes():
         raise AssertionError(f"{route}: a planted wrong outcome was returned")
 
     def off_the_constraints(basic_solution):
-        # (0, 4) becomes (2, 3), outside x1 + x2 <= 4.  The shift (2, -1)
-        # is orthogonal to the first objective (-1, -2), so the value
-        # still matches: only the feasibility check can catch it.
+        # (0, 4) becomes (2, 3), outside x1 + x2 <= 4, at d = 1 (and
+        # (2/d, 4 - 1/d) at any d).  The shift (2, -1) is orthogonal to
+        # the first objective (-1, -2), so the value still matches: only
+        # the feasibility check can catch it.
         def wrapper(*args):
-            x_std, value = basic_solution(*args)
-            return [x_std[0] + 2, x_std[1] - 1], value
+            x_std, rhs = basic_solution(*args)
+            return [x_std[0] + 2, x_std[1] - 1], rhs
 
         return wrapper
 
@@ -779,11 +863,11 @@ def _planted_outcome_routes():
         calls = []
 
         def wrapper(*args):
-            x_std, value = basic_solution(*args)
+            x_std, rhs = basic_solution(*args)
             calls.append(args)
             if len(calls) == 2:
                 x_std = [x_std[0] - 1, x_std[1] + 2]
-            return x_std, value
+            return x_std, rhs
 
         return wrapper
 
@@ -812,11 +896,11 @@ def _planted_outcome_routes():
 
     def above_the_bound(basic_solution):
         # x1 has only the upper bound 1, so x1 = 1 - s with s >= 0 is
-        # reflected; s = -1 puts x1 at 2.  No row holds x1 and its cost
-        # is 0, so only the bound check can catch it.
+        # reflected; s = -1/d puts x1 above 1.  No row holds x1 and its
+        # cost is 0, so only the bound check can catch it.
         def wrapper(*args):
-            x_std, value = basic_solution(*args)
-            return [x_std[0] - 1, *x_std[1:]], value
+            x_std, rhs = basic_solution(*args)
+            return [x_std[0] - 1, *x_std[1:]], rhs
 
         return wrapper
 
@@ -948,57 +1032,44 @@ def test_mixed_rows_and_bounds_match_vertex_enumeration_oracle():
 
 
 def test_initial_tableau_entries_for_every_row_kind():
-    from pareto_kit.numerics._simplex_py import Tableau
-
     linprog_module = importlib.import_module("pareto_kit.numerics.linprog")
     # x1 in [1/2, 3] is shifted (x1 = 1/2 + u) and gets an upper-bound
     # row; x2 is free and split (x2 = v - w); x3 <= 2 has no lower bound
     # and is reflected (x3 = 2 - r): its column and cost are negated, each
     # rhs loses a3 * 2, and it gets no bound row.
-    lp = linprog(
-        [1, -2, 3],
-        [
-            ([1, 1, 1], LE, 4),  # rhs 3/2: own slack starts basic
-            ([1, -1, 0], GE, 1),  # rhs 1/2: slack -1, artificial
-            ([2, 1, -1], EQ, 3),  # rhs 4: artificial
-            ([-1, "1/3", 0], LE, -2),  # rhs -3/2: negated, artificial
-        ],
-        lower=["1/2", None, None],
-        upper=[3, None, 2],
-    )
-    template = linprog_module._template(lp)
+    rows = [
+        ([1, 1, 1], LE, 4),  # rhs 3/2: own slack starts basic
+        ([1, -1, 0], GE, 1),  # rhs 1/2: slack -1, artificial
+        ([2, 1, -1], EQ, 3),  # rhs 4: artificial
+        ([-1, "1/3", 0], LE, -2),  # rhs -3/2: negated, artificial
+    ]
+    lower, upper = ["1/2", None, None], [3, None, 2]
+    lp = linprog([1, -2, 3], rows, lower, upper)
+    template = linprog_module._template(3, rows, lower, upper)
     nums, den = common_denominator(lp.objective)
-    cost_row, offset = linprog_module._cost_row(template, nums, den)
-    # the program _run pivots on: the template's rows, then both cost rows
-    std = SimpleNamespace(
-        rows=template.rows + [cost_row, template.cost1],
-        dens=template.dens + [den, template.cost1_den],
-        basis=template.basis,
-        offset=offset,
-    )
-    # columns: u, v, w, r, four slacks, three artificials, right-hand side
-    h = Fraction(1, 2)
-    t = Fraction(1, 3)
+    cost_row, offset = linprog_module._cost_row(template, nums)
+    # columns: u, v, w, r, four slacks, three artificials, right-hand side.
+    # Each row is the rational row times its denominator 2, 2, 1, 6, 2,
+    # with its own slack or artificial at +-1: that variable is the
+    # rational one times the row's denominator.
     expected = [
-        [1, 1, -1, -1, 1, 0, 0, 0, 0, 0, 0, 3 * h],
-        [1, -1, 1, 0, 0, -1, 0, 0, 1, 0, 0, h],
+        [2, 2, -2, -2, 1, 0, 0, 0, 0, 0, 0, 3],
+        [2, -2, 2, 0, 0, -1, 0, 0, 1, 0, 0, 1],
         [2, 1, -1, 1, 0, 0, 0, 0, 0, 1, 0, 4],
-        [1, -t, t, 0, 0, 0, -1, 0, 0, 0, 1, 3 * h],
-        [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5 * h],
-        # phase-2 cost row: the reflected column costs -3
-        [1, -2, 2, -3, 0, 0, 0, 0, 0, 0, 0, 0],
-        # phase-1 cost row: minus the sum of the three artificial rows
-        [-4, t, -t, -1, 0, 1, 1, 0, 0, 0, 0, -6],
+        [6, -2, 2, 0, 0, 0, -1, 0, 0, 0, 1, 9],
+        [2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5],
     ]
-    tableau = Tableau(std.rows, std.dens)
-    actual = [
-        [tableau.get(r, c) for c in range(tableau.ncols)] for r in range(len(expected))
-    ]
-    assert actual == expected
-    assert len(std.rows) == len(expected)
-    # each row is in the tableau's lowest-terms form
-    assert all(d > 0 and gcd(d, *row) == 1 for row, d in zip(std.rows, std.dens))
-    assert std.basis == [4, 8, 9, 10, 7]
-    # objective . base: 1 * 1/2 for the shifted x1, 3 * 2 for the
-    # reflected x3
-    assert std.offset == h + 3 * 2
+    assert template.rows == expected
+    assert template.basis == [4, 8, 9, 10, 7]
+    # the tableau starts at d = 1: the basic columns form an identity
+    for r, col in enumerate(template.basis):
+        assert [row[col] for row in template.rows] == [int(i == r) for i in range(5)]
+    # phase-2 cost row: the reflected column costs -3; the bases cost
+    # 1 * 1/2 - 2 * 0 + 3 * 2 = 13/2, 13 over den * base_den
+    assert cost_row == [1, -2, 2, -3, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert (offset, den * template.base_den) == (13, 2)
+    # phase-1 cost row: the three artificials cost 1/2, 1 and 1/6; times
+    # their lcm 6, minus 3, 6 and 1 times their rows.  Over 6 it is the
+    # rational phase-1 row [-4, 1/3, -1/3, -1, 0, 1, 1, 0, 0, 0, 0, -6]
+    # with the slack columns of rows 2 and 4 scaled by 1/2 and 1/6.
+    assert template.cost1 == [-24, 2, -2, -6, 0, 3, 1, 0, 0, 0, 0, -36]
